@@ -7,7 +7,6 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -238,34 +237,78 @@ def bounded_explore(inst: Instance, max_states: int) -> ExplorationReport:
     Reports whether m_final was reached (reach mode) or some marking
     >= m_final was reached (cover mode). States are deduplicated; the
     answer is exhaustive only if the frontier emptied within the budget.
+
+    Markings are packed into single Python ints, `w` bits per place, with
+    the top bit of each field kept as a guard `G`. A transition is enabled
+    at `m` iff `((m | G) - pack(pre)) & G == G`, and firing adds the packed
+    difference `pack(post) - pack(pre)`; the cover test is the guard test
+    against the packed target. This is exact while every value met stays
+    below the guard bit, so
+
+        w = (top + max_states * grow).bit_length() + 1
+
+    where `top` is the largest entry of m_init, m_final and every `pre`,
+    and `grow` the largest positive entry of any `delta` (0 if none): a
+    marking at BFS depth d is at most `top + d * grow`, and d never exceeds
+    the number of stored states, which never exceeds `max_states`.
     """
     if max_states <= 0:
         raise StructureError("exploration budget must be positive")
 
-    def hits(m: IntVector) -> bool:
-        if inst.mode is Mode.COVER:
-            return vec_ge(m, inst.m_final)
-        return m == inst.m_final
+    transitions = inst.net.transitions
+    top = grow = 0
+    for x in inst.m_init:
+        if x > top:
+            top = x
+    for x in inst.m_final:
+        if x > top:
+            top = x
+    for t in transitions:
+        for x in t.pre:
+            if x > top:
+                top = x
+        for x in t.delta:
+            if x > grow:
+                grow = x
+    w = (top + max_states * grow).bit_length() + 1
 
-    start = inst.m_init
-    if hits(start):
+    guard = start = target = 0
+    for i in range(inst.net.n - 1, -1, -1):
+        guard = (guard << w) | (1 << (w - 1))
+        start = (start << w) | inst.m_init[i]
+        target = (target << w) | inst.m_final[i]
+    moves = []
+    for t in transitions:
+        pre = post = 0
+        for i in range(inst.net.n - 1, -1, -1):
+            pre = (pre << w) | t.pre[i]
+            post = (post << w) | t.post[i]
+        moves.append((pre, post - pre))
+    cover = inst.mode is Mode.COVER
+
+    if start == target or cover and ((start | guard) - target) & guard == guard:
         return ExplorationReport(ExplorationOutcome.REACHED, 1, 0)
     seen = {start}
-    frontier = deque([(start, 0)])
-    while frontier:
-        m, depth = frontier.popleft()
-        for t in inst.net.transitions:
-            if not t.is_enabled(m):
-                continue
-            m2 = t.fire(m)
-            if m2 in seen:
-                continue
-            if hits(m2):
-                return ExplorationReport(
-                    ExplorationOutcome.REACHED, len(seen) + 1, depth + 1
-                )
-            seen.add(m2)
-            if len(seen) >= max_states:
-                return ExplorationReport(ExplorationOutcome.INCONCLUSIVE, len(seen))
-            frontier.append((m2, depth + 1))
+    layer = [start]
+    depth = 0
+    while layer:
+        depth += 1
+        nxt = []
+        for m in layer:
+            mg = m | guard
+            for pre, delta in moves:
+                if (mg - pre) & guard != guard:
+                    continue
+                m2 = m + delta
+                if m2 in seen:
+                    continue
+                if m2 == target or cover and ((m2 | guard) - target) & guard == guard:
+                    return ExplorationReport(
+                        ExplorationOutcome.REACHED, len(seen) + 1, depth
+                    )
+                seen.add(m2)
+                if len(seen) >= max_states:
+                    return ExplorationReport(ExplorationOutcome.INCONCLUSIVE, len(seen))
+                nxt.append(m2)
+        layer = nxt
     return ExplorationReport(ExplorationOutcome.NOT_REACHED, len(seen))

@@ -1,5 +1,8 @@
 """Core model types: transitions, nets, half spaces, exploration."""
 
+import random
+from collections import deque
+
 import pytest
 
 from petrisep import (
@@ -13,6 +16,7 @@ from petrisep import (
     Transition,
     bounded_explore,
     dot,
+    random_instance,
     verify_separator,
 )
 
@@ -132,3 +136,102 @@ def test_bounded_explore_budget_gives_inconclusive():
     assert report.outcome is ExplorationOutcome.INCONCLUSIVE
     with pytest.raises(StructureError):
         bounded_explore(inst, max_states=0)
+
+
+def reference_explore(inst, max_states):
+    """Tuple breadth-first search with bounded_explore's order and report."""
+
+    def hits(m):
+        if inst.mode is Mode.COVER:
+            return all(a >= b for a, b in zip(m, inst.m_final))
+        return m == inst.m_final
+
+    if hits(inst.m_init):
+        return ExplorationOutcome.REACHED, 1, 0
+    moves = [(t.pre, t.delta) for t in inst.net.transitions]
+    seen = {inst.m_init}
+    frontier = deque([(inst.m_init, 0)])
+    while frontier:
+        m, depth = frontier.popleft()
+        for pre, delta in moves:
+            if any(a < p for a, p in zip(m, pre)):
+                continue
+            m2 = tuple(a + d for a, d in zip(m, delta))
+            if m2 in seen:
+                continue
+            if hits(m2):
+                return ExplorationOutcome.REACHED, len(seen) + 1, depth + 1
+            seen.add(m2)
+            if len(seen) >= max_states:
+                return ExplorationOutcome.INCONCLUSIVE, len(seen), None
+            frontier.append((m2, depth + 1))
+    return ExplorationOutcome.NOT_REACHED, len(seen), None
+
+
+def test_bounded_explore_matches_tuple_reference():
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(400):
+        inst = random_instance(
+            rng.randrange(10**9),
+            places=rng.randint(1, 4),
+            transitions=rng.randint(0, 4),
+            max_flow=rng.choice((1, 2, 4, 10, 1000)),
+            max_marking=rng.choice((0, 4, 100, 10**6)),
+            mode=rng.choice((Mode.REACH, Mode.COVER)),
+        )
+        budget = rng.choice((1, 2, 5, 50, 500))
+        r = bounded_explore(inst, max_states=budget)
+        got = (r.outcome, r.states_visited, r.steps_to_target)
+        assert got == reference_explore(inst, budget), (inst, budget)
+        outcomes.add(r.outcome)
+    assert outcomes == set(ExplorationOutcome)
+
+
+def test_bounded_explore_without_transitions_stops_at_once():
+    net = PetriNet(("p", "q"), ())
+    inst = Instance(net, (1, 2), (2, 1), Mode.REACH)
+    report = bounded_explore(inst, max_states=10)
+    assert report.outcome is ExplorationOutcome.NOT_REACHED
+    assert report.states_visited == 1
+
+
+def test_bounded_explore_zero_pre_is_always_enabled():
+    net = PetriNet(("p", "q"), (Transition("t", (0, 0), (0, 1)),))
+    inst = Instance(net, (0, 0), (0, 7), Mode.REACH)
+    report = bounded_explore(inst, max_states=100)
+    assert report.outcome is ExplorationOutcome.REACHED
+    assert report.steps_to_target == 7
+    assert report.states_visited == 8
+
+
+def test_bounded_explore_pre_far_above_every_marking_never_fires():
+    # pre (10**6) exceeds every marking, so a field too narrow for it would
+    # borrow from the next place and report the transition enabled.
+    net = PetriNet(("p", "q"), (Transition("t", (10**6, 0), (0, 1)),))
+    inst = Instance(net, (3, 0), (0, 1), Mode.COVER)
+    report = bounded_explore(inst, max_states=100)
+    assert report.outcome is ExplorationOutcome.NOT_REACHED
+    assert report.states_visited == 1
+
+
+def test_bounded_explore_places_of_very_different_magnitude():
+    # t moves 10**9 tokens from p to q and one token from r to s.
+    t = Transition("t", (10**9, 0, 1, 0), (0, 10**9, 0, 1))
+    net = PetriNet(("p", "q", "r", "s"), (t,))
+    inst = Instance(net, (3 * 10**9, 5, 2, 0), (10**9, 2 * 10**9 + 5, 0, 2), Mode.REACH)
+    report = bounded_explore(inst, max_states=100)
+    assert report.outcome is ExplorationOutcome.REACHED
+    assert report.steps_to_target == 2
+    cover = Instance(net, inst.m_init, (0, 3 * 10**9, 0, 0), Mode.COVER)
+    report = bounded_explore(cover, max_states=100)
+    assert report.outcome is ExplorationOutcome.NOT_REACHED
+    assert report.states_visited == 3
+
+
+def test_bounded_explore_huge_budget_on_finite_net():
+    net = PetriNet(("p", "q"), (Transition("t", (1, 0), (0, 1)),))
+    inst = Instance(net, (2, 0), (0, 3), Mode.REACH)
+    report = bounded_explore(inst, max_states=10**12)
+    assert report.outcome is ExplorationOutcome.NOT_REACHED
+    assert report.states_visited == 3
