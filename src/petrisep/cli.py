@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--incremental",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="keep one solver process alive across queries",
+        help="external solvers only: keep one process alive across queries "
+        "(--no-incremental starts one per query)",
     )
     p.set_defaults(func=cmd_synthesize)
 

@@ -1,17 +1,17 @@
 """Built-in exact backend: decides Formula objects over the integers.
 
-SmtSession uses this when no external SMT solver is usable, so synthesis
-runs with nothing but Python. It answers with an integer model (the one of
-least sum |k(i)| when asked to minimize), with None only when every branch
-of the search has been refuted exactly, and raises SolverUnknownError when
-the search had to give up somewhere.
+SmtSession uses this when no external SMT solver is configured and no
+native z3 is on PATH, so synthesis runs with nothing but Python. Formulas
+are linear atoms over k under conjunction, disjunction and negation, so
+the only integer unknowns are the k(i) themselves. It answers with an
+integer model (the one of least sum |k(i)| when asked to minimize), with
+None only when every branch of the search has been refuted exactly, and
+raises SolverUnknownError when the search had to give up somewhere.
 
 - The formulas are put in negation normal form over literals a.x >= b:
   integer coefficients divided by their gcd, strict and negated relations
   tightened to integers (a.x > b is a.x >= b + 1, not (a.x = b) is a
-  disjunction of two such literals). Each divisibility d | k(i) gets an
-  integer unknown y = floor(k(i) / d), pinned by 0 <= k(i) - d y <= d - 1;
-  the atom is then k(i) - d y <= 0 and its negation k(i) - d y >= 1.
+  disjunction of two such literals).
 - Literals go into a bounded simplex in the style of Dutertre & de Moura
   ("A Fast Linear-Arithmetic Solver for DPLL(T)", CAV 2006), kept
   fraction-free: each row is an integer vector over the nonbasic unknowns
@@ -41,7 +41,7 @@ import time
 from operator import mul
 from typing import Optional, Sequence
 
-from .formula import Atom, Conj, Disj, Divides, Formula, Neg, evaluate
+from .formula import Atom, Conj, Disj, Formula, Neg, evaluate
 from .solver import SolverTimeoutError, SolverUnknownError
 
 # Nested integer branches on one search path. Deeper paths are abandoned,
@@ -103,10 +103,7 @@ FALSE = _Or(())
 class _Normalizer:
     """Negation normal form, with equal literals and disjunctions shared."""
 
-    def __init__(self, nvars: int):
-        self.nvars = nvars  # grows by one per distinct Divides atom
-        self.floors: dict = {}  # (index, divisor) -> terms of k(i) - d y
-        self.side: list = []  # 0 <= k(i) - d y <= d - 1 for each of them
+    def __init__(self):
         self._lits: dict = {}
         self._ors: dict = {}
         self._negated: dict = {}
@@ -115,13 +112,6 @@ class _Normalizer:
         if isinstance(f, Atom):
             terms = tuple((i, c) for i, c in enumerate(f.coeffs) if c)
             return self._relation(terms, f.rel if positive else _NEGATED[f.rel], f.rhs)
-        if isinstance(f, Divides):
-            terms = self.floors.get((f.index, f.divisor))
-            if terms is None:
-                terms = self.floors[f.index, f.divisor] = ((f.index, 1), (self.nvars, -f.divisor))
-                self.nvars += 1
-                self.side += [self._relation(terms, ">=", 0), self._relation(terms, "<", f.divisor)]
-            return self._relation(terms, "<=" if positive else ">", 0)
         if isinstance(f, Neg):
             return self.convert(f.inner, not positive)
         if isinstance(f, (Conj, Disj)):
@@ -438,24 +428,21 @@ class _Search:
         self.nk = nk
         self.minimize = minimize
         self.deadline = deadline
-        norm = _Normalizer(nk)
-        parts = [norm.convert(f) for f in formulas]
-        self.root = norm.conj(parts + norm.side)
+        norm = _Normalizer()
+        self.root = norm.conj([norm.convert(f) for f in formulas])
         self.negate = norm.negate
-        self.nint = norm.nvars  # k, then one floor unknown per Divides atom
         self.best: Optional[list[int]] = None
         self.best_sum: Optional[int] = None
         self.gave_up = False
         self._ticks = 0
-        ncols = self.nint + (nk if minimize else 0)
-        self.lp = _Simplex(ncols, self._tick)
+        self.lp = _Simplex(2 * nk if minimize else nk, self._tick)
         if minimize:
             # a(i) >= |k(i)|, and one unknown for sum a(i) to cap.
             for i in range(nk):
-                a = self.nint + i
+                a = nk + i
                 self.lp.assert_lower(self.lp.unknown(((i, -1), (a, 1))), 0)
                 self.lp.assert_lower(self.lp.unknown(((i, 1), (a, 1))), 0)
-            self.total = self.lp.unknown(tuple((self.nint + i, 1) for i in range(nk)))
+            self.total = self.lp.unknown(tuple((nk + i, 1) for i in range(nk)))
 
     def _tick(self) -> None:
         self._ticks += 1
@@ -494,9 +481,9 @@ class _Search:
         for v, lo in enumerate(lp.lo):
             if lo is not None and lo == lp.hi[v]:
                 terms = lp.terms[v] or ((v, 1),)
-                if all(u < self.nint for u, _ in terms):
+                if all(u < self.nk for u, _ in terms):
                     rows.append((terms, lo))
-        return _lattice_has_point(rows, self.nint)
+        return _lattice_has_point(rows, self.nk)
 
     def _offer(self, k: list[int]) -> None:
         """Record a model; stop unless a smaller one may still exist."""
@@ -513,7 +500,7 @@ class _Search:
             self.gave_up = True
             return
         while lp.check():
-            nums, den = lp.point(self.nint)
+            nums, den = lp.point(self.nk)
             violated = None
             for p in pending:
                 if not p.holds(nums, den) and (
@@ -536,11 +523,11 @@ class _Search:
                     lp.undo(mark)
                 return
             if den == 1:
-                self._offer(nums[: self.nk])
+                self._offer(nums)
                 continue
             # A rational model: its integer multiple may already be one.
             g = math.gcd(den, *nums)
-            k = [x // g for x in nums[: self.nk]]
+            k = [x // g for x in nums]
             if (self.best is None or sum(map(abs, k)) < self.best_sum) and all(
                 evaluate(f, k) for f in self.formulas
             ):

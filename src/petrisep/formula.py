@@ -13,7 +13,7 @@ from typing import Sequence, Union
 
 from .net import Instance, IntVector, Mode, Transition, vec_add, vec_sub
 
-Formula = Union["Atom", "Divides", "Conj", "Disj", "Neg"]
+Formula = Union["Atom", "Conj", "Disj", "Neg"]
 
 _RELS = {">=", ">", "=", "<=", "<"}
 
@@ -30,19 +30,6 @@ class Atom:
         if self.rel not in _RELS:
             raise ValueError(f"bad relation {self.rel!r}")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-
-@dataclass(frozen=True)
-class Divides:
-    """divisor | k(index), divisor a concrete nonzero integer."""
-
-    index: int
-    divisor: int
-
-    def __post_init__(self):
-        if self.divisor == 0:
-            raise ValueError("zero divisor")
-        object.__setattr__(self, "divisor", abs(self.divisor))
 
 
 @dataclass(frozen=True)
@@ -79,8 +66,6 @@ def evaluate(f: Formula, k: Sequence[int]) -> bool:
         if f.rel == "<=":
             return lhs <= f.rhs
         return lhs < f.rhs
-    if isinstance(f, Divides):
-        return k[f.index] % f.divisor == 0
     if isinstance(f, Conj):
         return all(evaluate(p, k) for p in f.parts)
     if isinstance(f, Disj):
@@ -256,8 +241,6 @@ def to_smt(f: Formula, names: Sequence[str]) -> str:
     if isinstance(f, Atom):
         op = "=" if f.rel == "=" else f.rel
         return f"({op} {_smt_linear(f.coeffs, names)} {_smt_int(f.rhs)})"
-    if isinstance(f, Divides):
-        return f"(= (mod {names[f.index]} {f.divisor}) 0)"
     if isinstance(f, Conj):
         if not f.parts:
             return "true"

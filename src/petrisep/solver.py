@@ -1,18 +1,17 @@
-"""Deciding the synthesis formulas: an SMT session with three backends.
+"""Deciding the synthesis formulas: an SMT session with two backends.
 
 An external solver is a child process reading SMT-LIB2 on stdin: an
-explicit command, else natively `z3 -in`, else the bundled Node shim around
-the z3-solver npm package when that package resolves. With none of them
-usable, SmtSession decides the same Formula objects with the built-in
-exact integer backend (`exact.py`), so synthesis never needs a binary.
-Every model, from any backend, is re-evaluated locally with exact integer
-arithmetic before being accepted, so a misbehaving or misparsed solver can
-never smuggle in a bad vector.
+explicit command, else a native `z3 -in` on PATH. Without either,
+SmtSession decides the same Formula objects with the built-in exact
+integer backend (`exact.py`), so synthesis never needs a binary. An
+external solver's timeout or 'unknown' is raised at once; there is no
+retry. Every model, from either backend, is re-evaluated locally with
+exact integer arithmetic before being accepted, so a misbehaving or
+misparsed solver can never smuggle in a bad vector.
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import shutil
 import subprocess
@@ -20,8 +19,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from importlib import resources
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .formula import Formula, evaluate, to_smt
 
@@ -55,14 +53,11 @@ class SolverConfig:
     command: Optional[tuple[str, ...]] = None  # None: discover automatically
     timeout_ms: int = 15_000  # per solver query
     minimize: bool = True  # shrink the |k| sum of each model before use
-    incremental: bool = True  # keep one child alive, use push/pop
-    retries: int = 2  # respawn-and-replay attempts after a hung query
+    incremental: bool = True  # external solver: keep one child alive, use push/pop
 
     def __post_init__(self):
         if self.timeout_ms <= 0:
             raise ValueError("timeout must be positive")
-        if self.retries < 0:
-            raise ValueError("retries must be non-negative")
         if self.command is not None:
             self.command = tuple(self.command)
 
@@ -76,79 +71,16 @@ class SolverConfig:
             return None
 
 
-def shim_path() -> str:
-    return str(resources.files("petrisep").joinpath("_z3wasm.mjs"))
-
-
-_npm_root_cache: list = []  # [Optional[str]] once computed
-
-
-def _npm_global_root() -> Optional[str]:
-    if _npm_root_cache:
-        return _npm_root_cache[0]
-    root: Optional[str] = None
-    npm = shutil.which("npm")
-    if npm:
-        try:
-            out = subprocess.run(
-                [npm, "root", "-g"], capture_output=True, text=True, timeout=60
-            )
-            if out.returncode == 0 and out.stdout.strip():
-                root = out.stdout.strip()
-        except (OSError, subprocess.TimeoutExpired):
-            root = None
-    _npm_root_cache.append(root)
-    return root
-
-
-_z3_solver_cache: dict = {}  # node path -> whether the shim can load z3-solver
-
-
-def _z3_solver_resolves(node: str, shim: str) -> bool:
-    """Whether the shim's own require() finds z3-solver, under its NODE_PATH."""
-    if node not in _z3_solver_cache:
-        probe = "require('node:module').createRequire(process.argv[1]).resolve('z3-solver')"
-        try:
-            run = subprocess.run(
-                [node, "-e", probe, shim],
-                capture_output=True,
-                env=solver_environment((node, shim)),
-                timeout=60,
-            )
-            _z3_solver_cache[node] = run.returncode == 0
-        except (OSError, subprocess.TimeoutExpired):
-            _z3_solver_cache[node] = False
-    return _z3_solver_cache[node]
-
-
 def discover_solver() -> tuple[str, ...]:
-    """Prefer a native z3 binary; fall back to node + bundled WASM shim.
+    """A native z3 binary on PATH, run as `z3 -in`.
 
-    The shim is chosen only when the z3-solver package actually resolves
-    for it. SmtSession treats SolverNotFoundError as "use the built-in
-    backend"; other callers see it as "no external solver".
+    SmtSession treats SolverNotFoundError as "use the built-in backend";
+    other callers see it as "no external solver".
     """
     z3 = shutil.which("z3")
     if z3:
         return (z3, "-in")
-    node = shutil.which("node")
-    shim = shim_path()
-    if node and os.path.exists(shim) and _z3_solver_resolves(node, shim):
-        return (node, shim)
-    raise SolverNotFoundError(
-        "no external SMT solver available: put z3 on PATH, or install node "
-        "and the z3-solver npm package (npm install -g z3-solver)"
-    )
-
-
-def solver_environment(command: Sequence[str]) -> dict[str, str]:
-    env = dict(os.environ)
-    if any(str(a).endswith("_z3wasm.mjs") for a in command):
-        root = _npm_global_root()
-        if root:
-            prev = env.get("NODE_PATH")
-            env["NODE_PATH"] = root if not prev else prev + os.pathsep + root
-    return env
+    raise SolverNotFoundError("no external SMT solver available: put z3 on PATH")
 
 
 # -- s-expression parsing ---------------------------------------------
@@ -252,7 +184,8 @@ class SmtSession:
     base level; check(extra) decides base + extra, returning a model dict
     or None for unsat. The extra formulas live in a scoped frame, so they
     vanish after the call. With command None the built-in exact backend
-    answers every check() in-process and no child is started.
+    answers every check() in-process and no child is started; with
+    incremental off, every external query starts its own child.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -318,10 +251,12 @@ class SmtSession:
     def check(self, extra: Sequence[Formula] = ()) -> Optional[dict[str, int]]:
         """Decide base + extra. Returns a model dict or None for unsat.
 
-        With minimization enabled the returned model has the smallest
-        possible sum of |k(i)|: an external solver gets a binary search
-        over plain check-sat queries (no optimizing solver needed), the
-        built-in backend searches with the sum capped below its incumbent.
+        With minimization enabled the returned model has the least sum of
+        |k(i)| the backend could establish. An external solver gets a
+        binary search over plain check-sat queries with that sum capped (no
+        optimizing solver needed); a probe answering 'unknown' ends the
+        search and the incumbent is kept. The built-in backend searches
+        with the sum capped below its incumbent.
         """
         if not self._names:
             raise SolverError("call begin() before check()")
@@ -330,22 +265,9 @@ class SmtSession:
         if self.command is None:
             model = self._check_exact(extra)
         elif self.cfg.incremental:
-            # The WASM backend can wedge (alive, never answering); the
-            # session state is fully replayable, so respawn and retry.
-            attempt = 0
-            while True:
-                try:
-                    model = self._check_incremental(extra)
-                    break
-                except (SolverTimeoutError, SolverUnknownError):
-                    # Wedged or gave up; both are cured more often than
-                    # not by a fresh child (accumulated lemmas gone).
-                    attempt += 1
-                    if attempt > self.cfg.retries:
-                        raise
-                    self._replay()
+            model = self._check_incremental(extra)
         else:
-            model = self._check_oneshot(extra)
+            model = self._minimized(lambda cap: self._oneshot_query(extra, cap))
         if model is not None:
             assignment = [model[n] for n in self._names]
             for f in self._base + extra:
@@ -365,7 +287,7 @@ class SmtSession:
         values = solve(self._base + extra, len(self._names), self.cfg.minimize, deadline)
         return None if values is None else dict(zip(self._names, values))
 
-    # -- shared emission -------------------------------------------------
+    # -- shared by both external modes ---------------------------------
 
     def _preamble(self) -> str:
         # Solver-side timeout below the pipe deadline, so a hard query
@@ -393,10 +315,33 @@ class SmtSession:
         total = self._aux[0] if len(self._aux) == 1 else "(+ " + " ".join(self._aux) + ")"
         return f"(assert (<= {total} {cap}))"
 
+    def _minimized(
+        self, query: Callable[[Optional[int]], Optional[dict[str, int]]]
+    ) -> Optional[dict[str, int]]:
+        """query(None), then a binary search over query(cap) for a smaller |k| sum.
+
+        query(cap) decides the problem with sum |k(i)| <= cap (no cap for None).
+        """
+        best = query(None)
+        if best is None or not self.cfg.minimize:
+            return best
+        lo, hi = 0, self._abs_sum(best) - 1
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            try:
+                probe = query(mid)
+            except SolverUnknownError:
+                break  # minimization is best effort; keep the incumbent
+            if probe is None:
+                lo = mid + 1
+            else:
+                best = probe
+                hi = self._abs_sum(probe) - 1
+        return best
+
     # -- incremental mode ---------------------------------------------
 
     def _spawn(self) -> None:
-        env = solver_environment(self.command)
         try:
             self._proc = subprocess.Popen(
                 self.command,
@@ -404,7 +349,6 @@ class SmtSession:
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 text=True,
-                env=env,
             )
         except OSError as exc:
             raise SolverProcessError(f"cannot start solver {self.command}: {exc}")
@@ -433,14 +377,6 @@ class SmtSession:
             proc.kill()
             proc.wait()
 
-    def _replay(self) -> None:
-        """Fresh child rebuilt to the current base-level state."""
-        self._kill()
-        self._spawn()
-        self._send(self._preamble())
-        for f in self._base:
-            self._send(f"(assert {to_smt(f, self._names)})")
-
     def _send(self, text: str) -> None:
         if self._proc is None:
             raise SolverProcessError("solver process is not running")
@@ -460,12 +396,8 @@ class SmtSession:
         deadline = time.monotonic() + self.cfg.timeout_ms / 1000.0
         lines: list[str] = []
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._kill()
-                raise SolverTimeoutError(f"no answer within {self.cfg.timeout_ms} ms")
             try:
-                line = self._lines.get(timeout=remaining)
+                line = self._lines.get(timeout=max(0.0, deadline - time.monotonic()))
             except queue.Empty:
                 self._kill()
                 raise SolverTimeoutError(f"no answer within {self.cfg.timeout_ms} ms")
@@ -481,52 +413,37 @@ class SmtSession:
 
     def _plain_check(self) -> Optional[dict[str, int]]:
         lines = self._exchange("(check-sat)")
-        status = next((l for l in lines if l in ("sat", "unsat", "unknown")), None)
-        if status is None:
-            raise SolverProcessError(f"no sat/unsat answer: {lines!r}")
-        if status == "unsat":
+        if not _is_sat(lines, f"no sat/unsat answer: {lines!r}"):
             return None
-        if status == "unknown":
-            raise SolverUnknownError("solver answered 'unknown'")
-        vlines = self._exchange(f"(get-value ({' '.join(self._names)}))")
-        errors = [l for l in vlines if l.startswith("(error")]
+        return self._model(self._exchange(f"(get-value ({' '.join(self._names)}))"))
+
+    def _model(self, lines: list[str]) -> dict[str, int]:
+        errors = [l for l in lines if l.startswith("(error")]
         if errors:
             raise SolverProcessError(f"get-value failed: {errors!r}")
-        return parse_model("\n".join(vlines), self._names)
+        return parse_model("\n".join(lines), self._names)
 
-    def _check_incremental(self, extra: list[Formula]) -> Optional[dict[str, int]]:
+    def _scoped(
+        self, asserts: list[str], run: Callable[[], Optional[dict[str, int]]]
+    ) -> Optional[dict[str, int]]:
+        """run() with asserts in a push/pop frame that leaves no trace."""
         self._send("(push 1)")
         try:
-            for f in extra:
-                self._send(f"(assert {to_smt(f, self._names)})")
-            model = self._plain_check()
-            if model is None or not self.cfg.minimize:
-                return model
-            # Shrink the |k| sum: probe caps in nested frames so failed
-            # probes leave no trace.
-            best = model
-            lo, hi = 0, self._abs_sum(model) - 1
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                self._send("(push 1)")
-                self._send(self._cap_assert(mid))
-                try:
-                    probe = self._plain_check()
-                except SolverUnknownError:
-                    # Minimization is best effort; keep the incumbent.
-                    break
-                finally:
-                    if self._proc is not None:
-                        self._send("(pop 1)")
-                if probe is None:
-                    lo = mid + 1
-                else:
-                    best = probe
-                    hi = self._abs_sum(probe) - 1
-            return best
+            for a in asserts:
+                self._send(a)
+            return run()
         finally:
             if self._proc is not None:
                 self._send("(pop 1)")
+
+    def _capped_check(self, cap: Optional[int]) -> Optional[dict[str, int]]:
+        if cap is None:
+            return self._plain_check()
+        return self._scoped([self._cap_assert(cap)], self._plain_check)
+
+    def _check_incremental(self, extra: list[Formula]) -> Optional[dict[str, int]]:
+        asserts = [f"(assert {to_smt(f, self._names)})" for f in extra]
+        return self._scoped(asserts, lambda: self._minimized(self._capped_check))
 
     # -- one-shot mode ---------------------------------------------------
 
@@ -543,60 +460,30 @@ class SmtSession:
     def _oneshot_query(
         self, extra: list[Formula], cap: Optional[int]
     ) -> Optional[dict[str, int]]:
-        env = solver_environment(self.command)
-        attempt = 0
-        while True:
-            try:
-                run = subprocess.run(
-                    self.command,
-                    input=self._script(extra, cap),
-                    capture_output=True,
-                    text=True,
-                    timeout=self.cfg.timeout_ms / 1000.0,
-                    env=env,
-                )
-                break
-            except OSError as exc:
-                raise SolverProcessError(f"cannot start solver {self.command}: {exc}")
-            except subprocess.TimeoutExpired:
-                attempt += 1
-                if attempt > self.cfg.retries:
-                    raise SolverTimeoutError(
-                        f"no answer within {self.cfg.timeout_ms} ms"
-                    )
-        lines = [l.strip() for l in run.stdout.splitlines() if l.strip()]
-        status = next((l for l in lines if l in ("sat", "unsat", "unknown")), None)
-        if status is None:
-            raise SolverProcessError(
-                f"no sat/unsat answer from solver (exit {run.returncode}): "
-                f"{run.stdout!r} {run.stderr!r}"
+        try:
+            run = subprocess.run(
+                self.command,
+                input=self._script(extra, cap),
+                capture_output=True,
+                text=True,
+                timeout=self.cfg.timeout_ms / 1000.0,
             )
-        if status == "unsat":
+        except OSError as exc:
+            raise SolverProcessError(f"cannot start solver {self.command}: {exc}")
+        except subprocess.TimeoutExpired:
+            raise SolverTimeoutError(f"no answer within {self.cfg.timeout_ms} ms")
+        lines = [l.strip() for l in run.stdout.splitlines() if l.strip()]
+        detail = f"exit {run.returncode}: {run.stdout!r} {run.stderr!r}"
+        if not _is_sat(lines, f"no sat/unsat answer from solver ({detail})"):
             return None
-        if status == "unknown":
-            raise SolverUnknownError("solver answered 'unknown'")
-        idx = lines.index(status)
-        tail = lines[idx + 1 :]
-        errors = [l for l in tail if l.startswith("(error")]
-        if errors:
-            raise SolverProcessError(f"get-value failed: {errors!r}")
-        return parse_model("\n".join(tail), self._names)
+        return self._model(lines[lines.index("sat") + 1 :])
 
-    def _check_oneshot(self, extra: list[Formula]) -> Optional[dict[str, int]]:
-        model = self._oneshot_query(extra, None)
-        if model is None or not self.cfg.minimize:
-            return model
-        best = model
-        lo, hi = 0, self._abs_sum(model) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            try:
-                probe = self._oneshot_query(extra, mid)
-            except SolverUnknownError:
-                break
-            if probe is None:
-                lo = mid + 1
-            else:
-                best = probe
-                hi = self._abs_sum(probe) - 1
-        return best
+
+def _is_sat(lines: list[str], missing: str) -> bool:
+    """The check-sat answer among lines: True for sat, False for unsat."""
+    status = next((l for l in lines if l in ("sat", "unsat", "unknown")), None)
+    if status is None:
+        raise SolverProcessError(missing)
+    if status == "unknown":
+        raise SolverUnknownError("solver answered 'unknown'")
+    return status == "sat"

@@ -1,4 +1,7 @@
-"""Shared fixtures: the running two-place example and a capture-proof printer."""
+"""Shared fixtures: the running example, a scripted solver, a capture-proof printer."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,12 @@ def two_place_instance(mode: Mode = Mode.REACH) -> Instance:
     u = Transition("u", (1, 2), (0, 4))
     v = Transition("v", (1, 0), (2, 1))
     return Instance(PetriNet(("p1", "p2"), (t, u, v)), (3, 1), (0, 4), mode)
+
+
+def fake_smt_command(log, *args) -> tuple[str, ...]:
+    """Command line of tests/fake_smt.py, logging to the file log."""
+    fake = Path(__file__).with_name("fake_smt.py")
+    return (sys.executable, str(fake), "--log", str(log), *args)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Synthesis loop: outcomes, budgets, refinement, certification."""
 
+import itertools
 import shutil
 
 import pytest
@@ -18,8 +19,10 @@ from petrisep import (
     Transition,
     certify,
     check_net,
+    constants_for_instance,
     nontrivial_certificate,
     nontrivial_net,
+    random_instance,
     synthesize,
     verify_separator,
 )
@@ -153,6 +156,31 @@ def test_minimize_and_incremental_toggles_do_not_change_verdicts(two_place):
         assert result.outcome is Outcome.FOUND
         assert verify_separator(two_place, result.halfspace).ok
         assert check_net(two_place.net, result.halfspace).inductive
+
+
+def test_no_separator_is_never_answered_when_a_box_certificate_exists():
+    # A brute-force search over a box finds any workable k (one that some
+    # threshold c turns into a certificate); synthesis may then run out of
+    # budget, but must never claim that no separator exists.
+    verdicts = {}
+    for (places, radius), mode, seed in itertools.product(
+        ((2, 4), (3, 3)), Mode, range(100)
+    ):
+        inst = random_instance(seed, places=places, mode=mode)
+        workable = any(
+            any(k) and constants_for_instance(inst, k).chosen is not None
+            for k in itertools.product(range(-radius, radius + 1), repeat=places)
+        )
+        result = synthesize(inst, budget=LoopBudget(max_iterations=10))
+        if workable:
+            assert result.outcome is not Outcome.NO_SEPARATOR, (places, mode, seed)
+        if result.outcome is Outcome.FOUND:
+            assert certify(inst, result.halfspace).ok, (places, mode, seed)
+        key = (workable, result.outcome)
+        verdicts[key] = verdicts.get(key, 0) + 1
+    # both sides of the claim are exercised
+    assert verdicts.get((True, Outcome.FOUND), 0) > 100
+    assert verdicts.get((False, Outcome.NO_SEPARATOR), 0) > 50
 
 
 @pytest.mark.skipif(shutil.which("z3") is None, reason="no native z3 to compare with")

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, JSON, round trips."""
 
 import json
+import shlex
 import shutil
 import subprocess
 
@@ -9,7 +10,7 @@ import pytest
 from petrisep import format_instance, nontrivial_net, parse_instance, random_instance
 from petrisep.cli import main
 
-from conftest import two_place_instance
+from conftest import fake_smt_command, two_place_instance
 
 EXAMPLE = format_instance(two_place_instance())
 
@@ -197,6 +198,16 @@ def test_synthesize_cover_mode_refutes_via_cli(example_file, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "no separating inductive half space" in out
+
+
+def test_synthesize_solver_that_dies_exits_4(example_file, tmp_path, capsys):
+    log = tmp_path / "fake.log"
+    for mode in ("--incremental", "--no-incremental"):
+        solver = shlex.join(fake_smt_command(log, "--on-check", "exit"))
+        code = main(["synthesize", example_file, "--solver", solver, mode])
+        assert code == 4, mode
+        assert "solver error" in capsys.readouterr().err
+    assert log.read_text().split() == ["spawn", "check-sat"] * 2
 
 
 @pytest.mark.skipif(

@@ -10,7 +10,6 @@ from petrisep.formula import (
     Atom,
     Conj,
     Disj,
-    Divides,
     Neg,
     bound_constraint,
     evaluate,
@@ -36,22 +35,13 @@ def test_atom_evaluation():
         Atom((1,), "!=", 0)
 
 
-def test_divides_normalizes_and_evaluates():
-    d = Divides(0, -3)
-    assert d.divisor == 3
-    assert evaluate(d, (9, 1))
-    assert not evaluate(d, (10, 1))
-    with pytest.raises(ValueError):
-        Divides(0, 0)
-
-
 def test_connectives():
     top = Conj(())
     bottom = Disj(())
     assert evaluate(top, (0,))
     assert not evaluate(bottom, (0,))
     assert evaluate(Neg(bottom), (0,))
-    f = Disj((Atom((1,), ">=", 5), Conj((Atom((1,), "<", 0), Neg(Divides(0, 2))))))
+    f = Disj((Atom((1,), ">=", 5), Conj((Atom((1,), "<", 0), Neg(Atom((1,), "<=", -4))))))
     assert evaluate(f, (7,))
     assert evaluate(f, (-3,))
     assert not evaluate(f, (-4,))
@@ -63,7 +53,6 @@ def test_smt_rendering():
     )
     assert to_smt(Atom((0, 1), "<", 2), ["k0", "k1"]) == "(< k1 2)"
     assert to_smt(Atom((0,), "=", 0), ["k0"]) == "(= 0 0)"
-    assert to_smt(Divides(1, 4), ["a", "b"]) == "(= (mod b 4) 0)"
     assert to_smt(Conj(()), []) == "true"
     assert to_smt(Disj(()), []) == "false"
     assert (
@@ -143,17 +132,24 @@ def test_separator_formula_is_necessary_for_workable_vectors():
     The converse does not hold (the formula over-approximates; the exact
     constant generator prunes the rest), so only necessity is asserted.
     """
-    for seed in range(60):
+    cases = [(seed, 2, Mode.REACH, 4) for seed in range(60)]
+    cases += [
+        (seed, 3, mode, 3) for seed in range(40) for mode in (Mode.REACH, Mode.COVER)
+    ]
+    workable = 0
+    for seed, places, mode, radius in cases:
         inst = random_instance(
-            seed, places=2, transitions=2, max_flow=3, max_marking=3
+            seed, places=places, transitions=2, max_flow=3, max_marking=3, mode=mode
         )
         full = separator_formula(inst)
-        for k in box(2, 4):
+        for k in box(places, radius):
             if all(x == 0 for x in k):
                 continue
             report = constants_for_instance(inst, k)
             if report.chosen is not None:
-                assert evaluate(full, k), (seed, k, report.chosen)
+                workable += 1
+                assert evaluate(full, k), (seed, mode, k, report.chosen)
+    assert workable > 1000  # the sweep is not vacuous
 
 
 def test_separator_formula_cover_mode_requires_nonpositive_k():

@@ -18,13 +18,16 @@ from petrisep.formula import (
 )
 from petrisep.solver import (
     SolverNotFoundError,
+    SolverParseError,
+    SolverTimeoutError,
+    SolverUnknownError,
     discover_solver,
     parse_model,
     parse_sexprs,
-    shim_path,
-    solver_environment,
     tokenize_sexpr,
 )
+
+from conftest import fake_smt_command
 
 # -- offline helpers ----------------------------------------------------
 
@@ -45,42 +48,76 @@ def test_parse_model_reads_values_and_negatives():
     assert parse_model(text, ["k0", "k1"]) == {"k0": 3, "k1": -2}
 
 
-def test_shim_is_packaged():
-    assert shim_path().endswith(".mjs")
-
-
-def test_solver_environment_only_touches_node_path_for_the_shim():
-    import os
-
-    plain = solver_environment(("z3", "-in"))
-    assert plain.get("NODE_PATH") == os.environ.get("NODE_PATH")
-    shim = solver_environment(("node", shim_path()))
-    prev = os.environ.get("NODE_PATH", "")
-    assert (shim.get("NODE_PATH") or "").startswith(prev) or prev == ""
-
-
-def test_discovery_skips_the_shim_when_z3_solver_does_not_resolve(monkeypatch):
-    # node on PATH, no z3, and the shim's require('z3-solver') failing
-    monkeypatch.setattr(
-        solver_module.shutil, "which", lambda name: "/bin/node" if name == "node" else None
-    )
-    monkeypatch.setattr(solver_module, "_z3_solver_resolves", lambda node, shim: False)
+def test_discovery_finds_native_z3_or_leaves_the_builtin_backend(monkeypatch):
+    # nothing on PATH: discovery raises and the built-in backend answers
+    monkeypatch.setattr(solver_module.shutil, "which", lambda name: None)
     with pytest.raises(SolverNotFoundError):
         discover_solver()
     with SmtSession(SolverConfig()) as s:
-        assert s.command is None  # the built-in backend answers instead
+        assert s.command is None
         s.begin(1)
         s.add(Atom((1,), ">=", 2))
         assert s.check() == {"k0": 2}
-    monkeypatch.setattr(solver_module, "_z3_solver_resolves", lambda node, shim: True)
-    assert discover_solver() == ("/bin/node", shim_path())
+    monkeypatch.setattr(
+        solver_module.shutil, "which", lambda name: "/usr/local/bin/z3" if name == "z3" else None
+    )
+    assert discover_solver() == ("/usr/local/bin/z3", "-in")
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(timeout_ms=0)
-    with pytest.raises(ValueError):
-        SolverConfig(retries=-1)
+
+
+# -- the external pipe, against a scripted solver --------------------------
+
+PROPORTION = [Atom((2, -3), "=", 0), Atom((1, 0), ">", 0)]  # 2 k0 = 3 k1, k0 > 0
+
+
+def fake_check(log, incremental, *fake_args, timeout_ms=15_000):
+    """check() on PROPORTION through the fake solver; returns the model."""
+    cfg = SolverConfig(
+        command=fake_smt_command(log, *fake_args),
+        timeout_ms=timeout_ms,
+        incremental=incremental,
+    )
+    with SmtSession(cfg) as s:
+        s.begin(2)
+        for f in PROPORTION:
+            s.add(f)
+        return s.check()
+
+
+def test_external_pipe_minimizes_in_both_modes(tmp_path):
+    calls = {}
+    for incremental in (True, False):
+        log = tmp_path / f"incremental-{incremental}.log"
+        model = fake_check(log, incremental, "--models", "6,4", "3,2")
+        assert model == {"k0": 3, "k1": 2}
+        events = log.read_text().split()
+        calls[incremental] = events.count("check-sat")
+        # one child for the session, or one per query
+        assert events.count("spawn") == (1 if incremental else calls[incremental])
+    assert calls[True] == calls[False] == 3  # (6,4), then caps 4 (unsat) and 7
+
+
+def test_external_unknown_and_timeout_raise_after_one_spawn(tmp_path):
+    for incremental in (True, False):
+        log = tmp_path / f"unknown-{incremental}.log"
+        with pytest.raises(SolverUnknownError):
+            fake_check(log, incremental, "--on-check", "unknown")
+        assert log.read_text().split() == ["spawn", "check-sat"]
+
+        log = tmp_path / f"hang-{incremental}.log"
+        with pytest.raises(SolverTimeoutError):
+            fake_check(log, incremental, "--on-check", "hang", timeout_ms=500)
+        assert log.read_text().split().count("spawn") == 1
+
+
+def test_external_model_failing_reevaluation_is_refused(tmp_path):
+    for incremental in (True, False):
+        with pytest.raises(SolverParseError):
+            fake_check(tmp_path / f"bad-{incremental}.log", incremental, "--models", "1,1")
 
 
 # -- solving ------------------------------------------------------------
