@@ -76,17 +76,30 @@ def frobenius_limit(k: Sequence[int]) -> int:
     return max(mags) * min(mags)
 
 
-def _reachable_offsets(coins: Sequence[int], limit: int) -> list[bool]:
-    """reach[s] == True iff s is a non-negative combination of coins, s <= limit."""
-    reach = [False] * (limit + 1)
-    if limit >= 0:
-        reach[0] = True
-        for s in range(limit + 1):
-            if reach[s]:
-                for coin in coins:
-                    if s + coin <= limit:
-                        reach[s + coin] = True
-    return reach
+def _gap_ends(coins: Sequence[int], width: int, first: int, last: int) -> list[int]:
+    """Offsets j in [first, last] (0 <= first) such that no non-negative
+    combination of coins lies in [j - width + 1, j].
+
+    One pass over a coin reachability table, sliding a count of the
+    combinations inside the window, so the cost is O(len(coins) * last)
+    whatever the width.
+    """
+    reach = [False] * (last + 1)
+    reach[0] = True
+    for s in range(last + 1):
+        if reach[s]:
+            for coin in coins:
+                if s + coin <= last:
+                    reach[s + coin] = True
+    inside = sum(reach[max(first - width, 0) : first])
+    ends = []
+    for j in range(first, last + 1):
+        inside += reach[j]
+        if j >= width:
+            inside -= reach[j - width]
+        if not inside:
+            ends.append(j)
+    return ends
 
 
 def generate_constants(
@@ -132,16 +145,11 @@ def generate_constants(
             cand_hi = min(cand_hi, window[1])
         if cand_lo <= cand_hi:
             # Attainable products are base + (combinations of coins); a
-            # candidate survives iff [c, c + width) misses them all.
-            reach = _reachable_offsets(coins, cand_hi + width - 1 - base)
-            good = []
-            for c in range(cand_lo, cand_hi + 1):
-                if not any(
-                    0 <= v - base < len(reach) and reach[v - base]
-                    for v in range(c, c + width)
-                ):
-                    good.append(c)
-            result = result.union(IntervalSet.of(*good))
+            # candidate survives iff [c, c + width) misses them all, that
+            # is iff the offset window ending at c + shift does.
+            shift = width - 1 - base
+            ends = _gap_ends(coins, width, cand_lo + shift, cand_hi + shift)
+            result = result.union(IntervalSet.of(*(j - shift for j in ends)))
     else:
         result = IntervalSet.at_least(base + 1)
         cand_lo, cand_hi = base - limit, base
@@ -149,16 +157,10 @@ def generate_constants(
             cand_lo = max(cand_lo, window[0])
             cand_hi = min(cand_hi, window[1])
         if cand_lo <= cand_hi:
-            # Products now descend from base by combinations of |coins|.
-            reach = _reachable_offsets(coins, base - cand_lo)
-            good = []
-            for c in range(cand_lo, cand_hi + 1):
-                if not any(
-                    0 <= base - v < len(reach) and reach[base - v]
-                    for v in range(c, c + width)
-                ):
-                    good.append(c)
-            result = result.union(IntervalSet.of(*good))
+            # Products now descend from base by combinations of |coins|,
+            # and [c, c + width) is the offset window ending at base - c.
+            ends = _gap_ends(coins, width, base - cand_hi, base - cand_lo)
+            result = result.union(IntervalSet.of(*(base - j for j in ends)))
     return finish(result)
 
 

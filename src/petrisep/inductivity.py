@@ -3,14 +3,14 @@
 A half space (k, c) is inductive for transition t when firing t cannot leave
 it: there is no x >= 0 with c <= k.x + k.pre < c - k.delta. The checker
 exploits three cheap sufficient conditions, a constructive refutation for
-sign-mixed k, and otherwise a breadth-first search over attainable scalar
-products whose state count is bounded by the relevant sum span.
+sign-mixed k, and otherwise a shortest-path search over the residue
+classes modulo the smallest nonzero |k(i)|, so it settles at most that
+many classes however large c is.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
+import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,8 +53,10 @@ def witness_bound(k: Sequence[int], c: int, t: Transition) -> int:
     """Span of scalar products the search can visit, for unmixed k.
 
     If k is sign-pure and (k, c) is not t-inductive, a witness x exists
-    with every entry at most this bound, and the BFS touches at most
-    bound + 1 sums. Mixed k admits no such box and is decided without it.
+    with every entry at most this bound. Each residue class the exact
+    search settles holds a distinct attainable offset within this span, so
+    it settles at most bound + 1 classes. Mixed k admits no such box and is
+    decided without it.
     """
     base = dot(k, t.pre)
     hi = c - dot(k, t.delta)
@@ -77,7 +79,7 @@ def mixed_counterexample(k: Sequence[int], c: int, t: Transition) -> IntVector:
     ineg = next(i for i in range(n) if k[i] < 0)
 
     v = [0] * n
-    v[ipos] = math.ceil(c / k[ipos])
+    v[ipos] = -(-c // k[ipos])  # ceil division, exact for any size of c
     steps = (c - k[ipos] * v[ipos]) // kd  # floor; lands product in window
     for i in range(n):
         v[i] += steps * t.delta[i]
@@ -110,7 +112,7 @@ class TransitionCheck:
     flags: TrivialFlags
     witness: Optional[IntVector] = None  # x >= 0 violating inductivity
     witness_value: Optional[int] = None  # k.(x + pre) for that x
-    sums_explored: int = 0
+    sums_explored: int = 0  # residue classes settled by the exact search
 
     def describe(self) -> str:
         """Short class label: which cheap condition applied, if any."""
@@ -161,44 +163,49 @@ def check_transition(k: Sequence[int], c: int, t: Transition) -> TransitionCheck
         x = mixed_counterexample(k, c, t)
         return TransitionCheck(t.name, False, flags, x, dot(k, x) + dot(k, t.pre))
 
-    # k unmixed and k.delta < 0: search sums base + (non-neg combination of
-    # entries of k). A sum in [c, c - k.delta) refutes inductivity; pruning
-    # keeps the walk inside the span measured by witness_bound.
+    # k unmixed and k.delta < 0: attainable products are base moved away
+    # (up for k >= 0, down for k <= 0) by an offset in the numerical
+    # semigroup of the coins |k(i)|. The window becomes offsets [lo, hi];
+    # lo <= hi here, since the monotone and antitone flags were false.
     base = dot(k, t.pre)
-    lo, hi = c, c - kd  # bad window [lo, hi)
-    if lo <= base < hi:
-        return TransitionCheck(t.name, False, flags, (0,) * len(k), base, 1)
-    coeffs = sorted(set(k))
-    pred: dict[int, tuple[int, int]] = {}
-    seen = {base}
-    queue = deque([base])
-    explored = 0
-    hit: Optional[int] = None
-    while queue and hit is None:
-        cur = queue.popleft()
-        explored += 1
-        for kappa in coeffs:
-            nxt = cur + kappa
-            if nxt in seen:
-                continue
-            if not ((kappa >= 0 and nxt < hi) or (kappa <= 0 and nxt >= lo)):
-                continue
-            seen.add(nxt)
-            pred[nxt] = (cur, kappa)
-            if lo <= nxt < hi:
-                hit = nxt
-                break
-            queue.append(nxt)
-    if hit is None:
-        return TransitionCheck(t.name, True, flags, sums_explored=explored)
+    sign = 1 if all(x >= 0 for x in k) else -1
+    if sign > 0:
+        lo, hi = max(c - base, 0), c - kd - 1 - base
+    else:
+        lo, hi = max(base - c + kd + 1, 0), base - c
 
-    x = [0] * len(k)
-    cur = hit
-    while cur != base:
-        prev, kappa = pred[cur]
-        x[k.index(kappa)] += 1
-        cur = prev
-    return TransitionCheck(t.name, False, flags, tuple(x), hit, explored)
+    # Dijkstra over residues modulo the smallest coin a (Nijenhuis 1979):
+    # least[r] is the least attainable offset congruent to r, and every
+    # offset least[r] + j*a is attainable too. Offsets past hi are pruned.
+    coins = sorted({abs(x) for x in k if x != 0})
+    a = coins[0]
+    least = {0: 0}
+    pred: dict[int, tuple[int, int]] = {}
+    settled: set[int] = set()
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if r in settled:
+            continue
+        settled.add(r)
+        s = max(d, lo)
+        s += (d - s) % a  # least s >= max(d, lo) congruent to d mod a
+        if s <= hi:
+            x = [0] * len(k)
+            x[k.index(sign * a)] = (s - d) // a
+            while r:
+                r, coin = pred[r]
+                x[k.index(sign * coin)] += 1
+            value = base + sign * s
+            return TransitionCheck(t.name, False, flags, tuple(x), value, len(settled))
+        for coin in coins[1:]:
+            nd = d + coin
+            nr = nd % a
+            if nd <= hi and nd < least.get(nr, nd + 1):
+                least[nr] = nd
+                pred[nr] = (r, coin)
+                heapq.heappush(heap, (nd, nr))
+    return TransitionCheck(t.name, True, flags, sums_explored=len(settled))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Exact inductivity checking against brute force and by hand."""
 
+import math
 import random
 
 import pytest
@@ -187,3 +188,91 @@ def test_net_check_json_round_trip(two_place):
     chk = check_net(two_place.net, HalfSpace((3, 2), 8))
     again = NetCheck.from_json(chk.to_json())
     assert again == chk
+
+
+def test_mixed_counterexample_handles_thresholds_beyond_float_range():
+    k = (3, -2)
+    t = Transition("t", (1, 0), (0, 0))  # k.delta = -3
+    for c in (10**400, -(10**400)):
+        r = check_transition(k, c, t)
+        assert not r.inductive
+        assert all(e >= 0 for e in r.witness)
+        value = dot(k, r.witness) + dot(k, t.pre)
+        assert r.witness_value == value
+        assert c <= value < c - dot(k, t.delta)
+
+
+def _attainable_by_two_coprime_coins(a: int, b: int, s: int) -> bool:
+    """s >= 0 is x*a + y*b with x, y >= 0 iff the least x does not overshoot."""
+    return s - a * ((s * pow(a, -1, b)) % b) >= 0
+
+
+def _sign_pure_case(rng: random.Random):
+    """Random sign-pure (k, c, t). Half of them have two coprime coins a, b
+    and a window of width 1 to 3 within a * b of k.pre, where both verdicts
+    are common."""
+    sign = rng.choice((1, -1))
+    if rng.random() < 0.5:
+        top = rng.choice((20, 10**4))
+        while True:
+            a, b = rng.randint(1, top), rng.randint(2, top)
+            if math.gcd(a, b) == 1:
+                break
+        w = rng.randint(1, 3)
+        x = (-w * pow(a, -1, b)) % b  # a*x - b*y = -w with x, y >= 0
+        y = (a * x + w) // b
+        k = (sign * a, sign * b, 0)
+        if sign > 0:
+            t = Transition("t", (0, y, 1), (x, 0, 2))
+        else:
+            t = Transition("t", (x, 0, 1), (0, y, 2))  # k.delta = -w again
+        return k, dot(k, t.pre) + sign * rng.randint(0, a * b), t
+    n = rng.randint(1, 3)
+    scale = rng.choice((1, 1, 2, 6))  # gcd(k) > 1 when scale > 1
+    mags = [rng.choice((0, rng.randint(1, 60), rng.randint(1, 10**4 // scale)))
+            for _ in range(n)]
+    if n > 1 and rng.random() < 0.3:
+        mags[1] = mags[0]  # a repeated magnitude
+    k = tuple(sign * scale * m for m in mags)
+    t = random_transition(rng, n, max_flow=3)
+    far = rng.choice((rng.randint(-50, 50), rng.randint(0, 10**8), rng.randint(0, 10**18)))
+    return k, dot(k, t.pre) + sign * far, t
+
+
+def test_sign_pure_search_settles_at_most_the_smallest_coin():
+    rng = random.Random(4242)
+    closed_form = {True: 0, False: 0}
+    for _ in range(1500):
+        k, c, t = _sign_pure_case(rng)
+        r = check_transition(k, c, t)
+        if r.flags.any:
+            continue
+        kd, base = dot(k, t.delta), dot(k, t.pre)
+        assert r.sums_explored <= min(abs(x) for x in k if x)
+        if not r.inductive:
+            assert all(e >= 0 for e in r.witness)
+            value = dot(k, r.witness) + base
+            assert r.witness_value == value and c <= value < c - kd
+        coins = sorted({abs(x) for x in k if x})
+        if len(coins) == 2 and math.gcd(*coins) == 1:
+            a, b = coins
+            if all(x >= 0 for x in k):
+                lo, hi = max(c - base, 0), c - kd - 1 - base
+            else:
+                lo, hi = max(base - c + kd + 1, 0), base - c
+            # A window at least b long holds a multiple of b, which is attainable.
+            hit = any(
+                _attainable_by_two_coprime_coins(a, b, s)
+                for s in range(lo, min(hi, lo + b - 1) + 1)
+            )
+            assert r.inductive == (not hit), (k, c, t)
+            closed_form[r.inductive] += 1
+    assert min(closed_form.values()) >= 100, closed_form
+
+
+def test_running_example_check_cost_does_not_grow_with_c(two_place):
+    t = two_place.net.transitions[0]
+    for c in (10**6, 10**18):
+        r = check_transition((3, 2), c, t)
+        assert not r.inductive
+        assert r.sums_explored <= 2
