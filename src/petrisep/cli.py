@@ -233,10 +233,16 @@ def cmd_oracle(args) -> int:
             print(f"transition {t.name}: inductive ({r.sums_explored} points)")
         else:
             all_inductive = False
-            print(
-                f"transition {t.name}: NOT inductive; witness x = {r.witness} "
-                f"with k.(x + pre) = {r.witness_value}"
-            )
+            if r.witness is None:
+                print(
+                    f"transition {t.name}: NOT inductive by the sign-mixed "
+                    "divisibility argument (no witness enumerated)"
+                )
+            else:
+                print(
+                    f"transition {t.name}: NOT inductive; witness x = {r.witness} "
+                    f"with k.(x + pre) = {r.witness_value}"
+                )
     return EXIT_OK if all_inductive else EXIT_NEGATIVE
 
 

@@ -1,9 +1,12 @@
 """Linear constraints over the unknown coefficient vector k.
 
-The synthesis formula characterizes exactly those k for which some
-threshold c makes (k, c) inductive for every transition and separating
-for the instance. Atoms keep concrete integer coefficients so formulas
-can be both evaluated locally (exact arithmetic) and emitted as SMT-LIB2.
+The synthesis formula is a necessary condition on k: every k for which
+some threshold c makes (k, c) inductive for every transition and
+separating for the instance satisfies it, but a k that satisfies it may
+admit no such c. Synthesis and the no-separator verdict rely on this
+direction only; each candidate is then checked exactly. Atoms keep
+concrete integer coefficients so formulas can be both evaluated locally
+(exact arithmetic) and emitted as SMT-LIB2.
 """
 
 from __future__ import annotations
@@ -137,10 +140,13 @@ def _cover_parts(inst: Instance) -> tuple[Formula, ...]:
 
 
 def separator_formula(inst: Instance) -> Conj:
-    """Exactly the k admitting a separating inductive threshold.
+    """Necessary condition on k for a separating inductive threshold.
 
-    Cover mode appends k <= 0, which characterizes half spaces disjoint
-    from the whole upward closure of the target.
+    Every k admitting such a threshold satisfies it; the converse fails,
+    so a satisfying k still goes through generate_constants and the exact
+    checker, and a failed one is excluded by refinement. Cover mode
+    appends k <= 0, which characterizes half spaces disjoint from the
+    whole upward closure of the target.
     """
     parts: list[Formula] = [separation_condition(inst)]
     parts.extend(transition_options(inst, t) for t in inst.net.transitions)

@@ -112,7 +112,9 @@ class TransitionCheck:
     flags: TrivialFlags
     witness: Optional[IntVector] = None  # x >= 0 violating inductivity
     witness_value: Optional[int] = None  # k.(x + pre) for that x
-    sums_explored: int = 0  # residue classes settled by the exact search
+    # check_transition: residue classes settled by the exact search;
+    # oracle_check_transition: grid points visited by the pruned walk.
+    sums_explored: int = 0
 
     def describe(self) -> str:
         """Short class label: which cheap condition applied, if any."""
@@ -240,12 +242,19 @@ def oracle_check_transition(
 ) -> TransitionCheck:
     """Reference check, independent of check_transition.
 
-    Sign-pure k is enumerated exhaustively over the [0, bound]^n grid
+    Sign-pure k is enumerated over the [0, bound]^n grid in odometer order
     (a valid cutoff: partial sums move one way, so a witness needs at
-    most bound steps). Sign-mixed k is decided by a divisibility
-    argument instead, since no grid of that size is guaranteed to hold
-    a witness. Raises OracleBudgetError when the grid exceeds
-    max_points.
+    most bound steps). The walk is pruned at the window's far end: once
+    raising a coordinate carries the sum past it, every larger value of
+    that coordinate is past it too, so the coordinate is reset and the
+    carry moves on; coordinates with k(i) = 0 stay at 0. sums_explored
+    counts the points visited: every such grid point short of the window
+    that precedes the witness in grid order, plus the witness if there is
+    one. The budget is still charged
+    for the whole grid: OracleBudgetError is raised when (bound + 1)^n
+    exceeds max_points. Sign-mixed k is decided by a divisibility
+    argument instead, since no grid of that size is guaranteed to hold a
+    witness.
     """
     k = tuple(k)
     flags = classify_trivial(k, c, t)
@@ -268,20 +277,28 @@ def oracle_check_transition(
     if (b + 1) ** n > max_points:
         raise OracleBudgetError(f"grid of {(b + 1) ** n} points exceeds budget")
 
+    up = all(v >= 0 for v in k)
+
+    def short(v: int) -> bool:
+        """v has not passed the window's far end."""
+        return v < hi if up else v >= lo
+
     # Odometer enumeration, first coordinate fastest, incremental sums.
     x = [0] * n
     s = base
     count = 0
-    while True:
+    while short(s):
         count += 1
         if lo <= s < hi:
             return TransitionCheck(t.name, False, flags, tuple(x), s, count)
-        i = 0
-        while i < n and x[i] == b:
-            s -= b * k[i]
+        for i in range(n):
+            if k[i] and x[i] < b:
+                x[i] += 1
+                s += k[i]
+                if short(s):
+                    break
+            s -= x[i] * k[i]
             x[i] = 0
-            i += 1
-        if i == n:
-            return TransitionCheck(t.name, True, flags, sums_explored=count)
-        x[i] += 1
-        s += k[i]
+        else:
+            break
+    return TransitionCheck(t.name, True, flags, sums_explored=count)

@@ -120,6 +120,16 @@ def test_oracle_verdicts(example_file, capsys):
     assert "NOT inductive" in out
 
 
+def test_oracle_sign_mixed_refutation_prints_no_none(tmp_path, capsys):
+    path = tmp_path / "family.net"
+    path.write_text(format_instance(nontrivial_net(3)))
+    code = main(["oracle", str(path), "--k", "1", "-1", "0", "--c", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "transition t2: NOT inductive by the sign-mixed" in out
+    assert "None" not in out
+
+
 def test_oracle_budget_exhaustion_is_inconclusive(example_file, capsys):
     code = main(["oracle", example_file, "--k", "3,2", "--c", "9", "--budget", "1"])
     assert code == 2

@@ -1,5 +1,6 @@
 """Exact inductivity checking against brute force and by hand."""
 
+import itertools
 import math
 import random
 
@@ -18,6 +19,7 @@ from petrisep import (
     is_mixed,
     mixed_counterexample,
     oracle_check_transition,
+    ussp_halfspace,
     witness_bound,
 )
 
@@ -174,6 +176,85 @@ def test_oracle_budget_is_enforced():
     t = Transition("t", (0, 0, 0), (1, 1, 1))
     with pytest.raises(OracleBudgetError):
         oracle_check_transition((-200, -300, -500), -100_000, t, max_points=1000)
+
+
+def _box_oracle(k, c, t, b):
+    """Plain walk of the whole [0, b]^n box, first coordinate fastest.
+
+    Returns the first witness x and k.(x + pre), or None twice, and the
+    number of box points before it that fall short of the window, with
+    coordinates whose coefficient is 0 held at 0."""
+    base, lo, hi = dot(k, t.pre), c, c - dot(k, t.delta)
+    up = all(v >= 0 for v in k)
+    short = 0
+    for rev in itertools.product(range(b + 1), repeat=len(k)):
+        x = rev[::-1]
+        s = base + dot(k, x)
+        if lo <= s < hi:
+            return x, s, short
+        if all(e == 0 for e, v in zip(x, k) if v == 0) and (s < lo if up else s >= hi):
+            short += 1
+    return None, None, short
+
+
+def _small_sign_pure_case(rng: random.Random):
+    """Random sign-pure (k, c, t) with a grid small enough to walk whole.
+    Half of them have two coprime coins a, b <= 9, a window of width 1 or
+    2 within a * b of k.pre, and sometimes a place with k(i) = 0, so that
+    inductive results short of the trivial ones are common too."""
+    sign = rng.choice((1, -1))
+    if rng.random() < 0.5:
+        n = rng.randint(1, 3)
+        k = tuple(sign * rng.choice((0, rng.randint(1, 4), rng.randint(5, 20)))
+                  for _ in range(n))
+        t = random_transition(rng, n, max_flow=3)
+        return k, dot(k, t.pre) + sign * rng.randint(-5, 40), t
+    while True:
+        a, b = rng.randint(2, 9), rng.randint(2, 9)
+        if math.gcd(a, b) == 1:
+            break
+    w = rng.randint(1, 2)
+    x = (-w * pow(a, -1, b)) % b  # a*x - b*y = -w with x, y >= 0
+    y = (a * x + w) // b
+    pre, post = ((0, y), (x, 0)) if sign > 0 else ((x, 0), (0, y))
+    k = (sign * a, sign * b)
+    if rng.random() < 0.5:
+        k, pre, post = k + (0,), pre + (rng.randint(0, 3),), post + (rng.randint(0, 3),)
+    t = Transition("t", pre, post)
+    return k, dot(k, t.pre) + sign * rng.randint(0, a * b), t
+
+
+def test_pruned_oracle_walk_matches_the_whole_box():
+    rng = random.Random(606)
+    seen = {True: 0, False: 0}  # verdicts reached with at least one point walked
+    for _ in range(2000):
+        k, c, t = _small_sign_pure_case(rng)
+        if dot(k, t.delta) >= 0:
+            continue
+        try:
+            r = oracle_check_transition(k, c, t, max_points=4000)
+        except OracleBudgetError:
+            continue
+        x, value, short = _box_oracle(k, c, t, witness_bound(k, c, t))
+        assert (r.inductive, r.witness, r.witness_value) == (x is None, x, value), (k, c, t)
+        if r.inductive:
+            assert r.sums_explored == short, (k, c, t)
+        if r.sums_explored:
+            seen[r.inductive] += 1
+    assert min(seen.values()) >= 150, seen
+
+
+def test_pruned_oracle_walk_cost_on_pinned_cases():
+    net, hs = ussp_halfspace((23, 57), 396)  # 23 x + 57 y = 396 has no solution
+    t = net.transitions[0]
+    assert (witness_bound(hs.k, hs.c, t) + 1) ** 2 == 158_404
+    r = oracle_check_transition(hs.k, hs.c, t)
+    assert r.inductive and r.sums_explored <= 100
+
+    # k(0) = k(1) = 0 never move the sum, so the walk only raises x(2).
+    r = oracle_check_transition((0, 0, -1), -38, Transition("t", (0, 0, 0), (0, 0, 1)))
+    assert not r.inductive
+    assert (r.witness, r.witness_value, r.sums_explored) == ((0, 0, 38), -38, 39)
 
 
 def test_transition_check_json_round_trip():
