@@ -3,8 +3,9 @@
 For a fixed coefficient vector k and transition t the set of inductive
 thresholds decomposes into rays from the cheap sufficient conditions plus
 a finite patch of non-trivial values. The patch is bounded by a Frobenius
-argument on the nonzero entries of k, so it can be enumerated exactly
-with a coin-style reachability table.
+argument on the nonzero entries of k, so it can be enumerated exactly:
+the attainable sums of those entries are closed under shifts of one
+big-integer bit set, and the gaps between them read off as a string.
 """
 
 from __future__ import annotations
@@ -80,25 +81,30 @@ def _gap_ends(coins: Sequence[int], width: int, first: int, last: int) -> list[i
     """Offsets j in [first, last] (0 <= first) such that no non-negative
     combination of coins lies in [j - width + 1, j].
 
-    One pass over a coin reachability table, sliding a count of the
-    combinations inside the window, so the cost is O(len(coins) * last)
-    whatever the width.
+    Bit s of one Python int marks the attainable sums s <= last. Each coin
+    closes it under adding multiples by shifts of doubling length, and the
+    window is widened the same way, so the cost is O(len(coins) * log(last)
+    + log(width)) big-integer operations on last + 1 bits, plus one string
+    search per gap end.
     """
-    reach = [False] * (last + 1)
-    reach[0] = True
-    for s in range(last + 1):
-        if reach[s]:
-            for coin in coins:
-                if s + coin <= last:
-                    reach[s + coin] = True
-    inside = sum(reach[max(first - width, 0) : first])
+    mask = (1 << (last + 1)) - 1
+    reach = 1
+    for coin in coins:
+        step = coin
+        while step <= last:
+            reach |= (reach << step) & mask
+            step <<= 1
+    covered, span = reach, 1  # bit j: an attainable sum in (j - span, j]
+    while span < width:
+        step = min(span, width - span)
+        covered |= (covered << step) & mask
+        span += step
+    bits = format(covered | 1 << (last + 1), "b")[:0:-1]  # bits[j] is bit j
     ends = []
-    for j in range(first, last + 1):
-        inside += reach[j]
-        if j >= width:
-            inside -= reach[j - width]
-        if not inside:
-            ends.append(j)
+    j = bits.find("0", first)
+    while j >= 0:
+        ends.append(j)
+        j = bits.find("0", j + 1)
     return ends
 
 

@@ -84,9 +84,12 @@ def _unit(n: int, i: int, value: int = 1) -> IntVector:
     return tuple(v)
 
 
-def _sign_conj(n: int, rel: str) -> Conj:
-    """k >= 0 (rel '>=') or k <= 0 (rel '<=') componentwise."""
-    return Conj(tuple(Atom(_unit(n, i), rel, 0) for i in range(n)))
+def _sign_parts(n: int) -> tuple[tuple[IntVector, ...], Conj, Conj]:
+    """The unit vectors, k >= 0 and k <= 0: immutable, so shareable."""
+    units = tuple(_unit(n, i) for i in range(n))
+    nonneg = Conj(tuple(Atom(e_i, ">=", 0) for e_i in units))
+    nonpos = Conj(tuple(Atom(e_i, "<=", 0) for e_i in units))
+    return units, nonneg, nonpos
 
 
 def separation_condition(inst: Instance) -> Atom:
@@ -103,18 +106,17 @@ def transition_options(inst: Instance, t: Transition) -> Disj:
     k.m_final; or k is sign-pure and every nonzero |k(i)| spans the drop
     -k.delta, which makes a non-trivial threshold exist.
     """
-    n = inst.net.n
+    return _options(inst, t, _sign_parts(inst.net.n))
+
+
+def _options(inst: Instance, t: Transition, shared: tuple) -> Disj:
+    units, nonneg, nonpos = shared
     oriented = Atom(t.delta, ">=", 0)
-    antitone = Conj(
-        (_sign_conj(n, "<="), Atom(vec_sub(inst.m_init, t.pre), ">", 0))
-    )
-    monotone = Conj(
-        (_sign_conj(n, ">="), Atom(vec_sub(t.post, inst.m_final), ">", 0))
-    )
-    sign_pure = Disj((_sign_conj(n, ">="), _sign_conj(n, "<=")))
+    antitone = Conj((nonpos, Atom(vec_sub(inst.m_init, t.pre), ">", 0)))
+    monotone = Conj((nonneg, Atom(vec_sub(t.post, inst.m_final), ">", 0)))
+    sign_pure = Disj((nonneg, nonpos))
     spans = []
-    for i in range(n):
-        e_i = _unit(n, i)
+    for e_i in units:
         spans.append(
             Disj(
                 (
@@ -133,12 +135,6 @@ def transition_formula(inst: Instance, t: Transition) -> Conj:
     return Conj((separation_condition(inst), transition_options(inst, t)))
 
 
-def _cover_parts(inst: Instance) -> tuple[Formula, ...]:
-    if inst.mode is not Mode.COVER:
-        return ()
-    return (_sign_conj(inst.net.n, "<="),)
-
-
 def separator_formula(inst: Instance) -> Conj:
     """Necessary condition on k for a separating inductive threshold.
 
@@ -148,20 +144,21 @@ def separator_formula(inst: Instance) -> Conj:
     appends k <= 0, which characterizes half spaces disjoint from the
     whole upward closure of the target.
     """
+    shared = _sign_parts(inst.net.n)
     parts: list[Formula] = [separation_condition(inst)]
-    parts.extend(transition_options(inst, t) for t in inst.net.transitions)
-    parts.extend(_cover_parts(inst))
+    parts.extend(_options(inst, t, shared) for t in inst.net.transitions)
+    if inst.mode is Mode.COVER:
+        parts.append(shared[2])
     return Conj(tuple(parts))
 
 
 def trivial_separator_formula(inst: Instance) -> Conj:
     """Fast-path variant: every transition must fall in a cheap case."""
-    parts: list[Formula] = [separation_condition(inst)]
-    for t in inst.net.transitions:
-        opts = transition_options(inst, t)
-        parts.append(Disj(opts.parts[:3]))  # drop the non-trivial branch
-    parts.extend(_cover_parts(inst))
-    return Conj(tuple(parts))
+    full = separator_formula(inst).parts
+    m = len(inst.net.transitions)
+    # Drop each transition's non-trivial branch.
+    cheap = (Disj(opts.parts[:3]) for opts in full[1 : 1 + m])
+    return Conj((full[0], *cheap, *full[1 + m :]))
 
 
 def bound_constraint(n: int, bound: int) -> Conj:

@@ -236,7 +236,8 @@ def bounded_explore(inst: Instance, max_states: int) -> ExplorationReport:
 
     Reports whether m_final was reached (reach mode) or some marking
     >= m_final was reached (cover mode). States are deduplicated; the
-    answer is exhaustive only if the frontier emptied within the budget.
+    answer is exhaustive only if the frontier emptied within the budget;
+    an inconclusive report gives the budget as its states_visited.
 
     Markings are packed into single Python ints, `w` bits per place, with
     the top bit of each field kept as a guard `G`. A transition is enabled
@@ -308,7 +309,7 @@ def bounded_explore(inst: Instance, max_states: int) -> ExplorationReport:
                     )
                 seen.add(m2)
                 if len(seen) >= max_states:
-                    return ExplorationReport(ExplorationOutcome.INCONCLUSIVE, len(seen))
+                    return ExplorationReport(ExplorationOutcome.INCONCLUSIVE, max_states)
                 nxt.append(m2)
         layer = nxt
     return ExplorationReport(ExplorationOutcome.NOT_REACHED, len(seen))

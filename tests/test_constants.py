@@ -1,6 +1,7 @@
 """Exact threshold generation compared against a subset-sum reference."""
 
 import random
+import time
 from functools import lru_cache
 
 import pytest
@@ -22,6 +23,7 @@ from petrisep import (
     separator_window,
     verify_separator,
 )
+from petrisep.constants import _gap_ends
 
 from conftest import two_place_instance
 
@@ -117,6 +119,55 @@ def test_generate_constants_matches_reference_on_random_cases():
         got = set(generate_constants(k, t, window=(lo, hi)))
         assert got == reference_inductive_thresholds(k, t, lo, hi), (k, t, lo, hi)
         trials += 1
+
+
+def reference_gap_ends(coins: list, width: int, first: int, last: int) -> list:
+    """_gap_ends from a list coin table and prefix counts, without recursion."""
+    reach = [False] * (last + 1)
+    reach[0] = True
+    for s in range(last + 1):
+        if reach[s]:
+            for coin in coins:
+                if s + coin <= last:
+                    reach[s + coin] = True
+    below = [0]  # below[j]: attainable sums < j
+    for r in reach:
+        below.append(below[-1] + r)
+    return [
+        j
+        for j in range(first, last + 1)
+        if below[j + 1] == below[max(j - width + 1, 0)]
+    ]
+
+
+def test_gap_ends_matches_list_table():
+    rng = random.Random(707)
+    seen = {"wide": 0, "offset": 0, "single": 0, "gaps": 0}
+    for _ in range(2_000):
+        coins = sorted({rng.randint(1, rng.choice((3, 12, 60, 300)))
+                        for _ in range(rng.randint(1, 4))})
+        last = rng.randint(0, rng.choice((10, 200, 1_000)))
+        width = rng.choice((1, 2, 3, 7, 64, 100, rng.randint(1, 300)))
+        first = rng.choice((0, rng.randint(0, last), last))
+        got = _gap_ends(coins, width, first, last)
+        assert got == reference_gap_ends(coins, width, first, last), (
+            coins, width, first, last)
+        seen["wide"] += width > last
+        seen["offset"] += 0 < first < last
+        seen["single"] += first == last
+        seen["gaps"] += len(got) > 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_gap_ends_cost_grows_with_the_gaps_not_their_square():
+    # 198,765 gaps in 400,001 offsets: a read that rewrites the whole bit
+    # set for each gap it reports (a low-bit loop) takes seconds here.
+    start = time.perf_counter()
+    ends = _gap_ends((631, 632), 1, 0, 400_000)
+    assert time.perf_counter() - start < 2.0
+    assert len(ends) == 198_765
+    assert ends[:3] == [1, 2, 3]
+    assert ends[-1] == 631 * 632 - 631 - 632  # the Frobenius number
 
 
 def test_generate_constants_oriented_keeps_everything():

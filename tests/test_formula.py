@@ -2,10 +2,11 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from petrisep import Mode, constants_for_instance, random_instance
+from petrisep import Mode, constants_for_instance, nontrivial_net, random_instance
 from petrisep.formula import (
     Atom,
     Conj,
@@ -19,6 +20,7 @@ from petrisep.formula import (
     separator_formula,
     to_smt,
     transition_formula,
+    transition_options,
     trivial_separator_formula,
 )
 
@@ -158,6 +160,30 @@ def test_separator_formula_cover_mode_requires_nonpositive_k():
     for k in box(2, 4):
         if any(x > 0 for x in k):
             assert not evaluate(f, k), k
+
+
+def test_separator_formula_smt_text_is_pinned():
+    """SMT-LIB2 text of the synthesis formula, byte for byte."""
+    cases = {
+        "running reach": two_place_instance(),
+        "running cover": two_place_instance(Mode.COVER),
+        "nontrivial 4": nontrivial_net(4),
+    }
+    golden = Path(__file__).with_name("separator_formula.golden").read_text()
+    expected = dict(line.split(": ", 1) for line in golden.splitlines())
+    assert set(expected) == set(cases)
+    for label, inst in cases.items():
+        names = [f"k{i}" for i in range(inst.net.n)]
+        assert to_smt(separator_formula(inst), names) == expected[label], label
+
+
+def test_separator_formula_parts_are_the_transition_options():
+    for seed in range(40):
+        mode = Mode.REACH if seed % 2 else Mode.COVER
+        inst = random_instance(seed, places=1 + seed % 4, mode=mode)
+        parts = separator_formula(inst).parts
+        for i, t in enumerate(inst.net.transitions):
+            assert parts[1 + i] == transition_options(inst, t), (seed, t.name)
 
 
 def test_transition_formula_bundles_separation(two_place):

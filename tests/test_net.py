@@ -163,7 +163,7 @@ def reference_explore(inst, max_states):
                 return ExplorationOutcome.REACHED, len(seen) + 1, depth + 1
             seen.add(m2)
             if len(seen) >= max_states:
-                return ExplorationOutcome.INCONCLUSIVE, len(seen), None
+                return ExplorationOutcome.INCONCLUSIVE, max_states, None
             frontier.append((m2, depth + 1))
     return ExplorationOutcome.NOT_REACHED, len(seen), None
 
@@ -186,6 +186,18 @@ def test_bounded_explore_matches_tuple_reference():
         assert got == reference_explore(inst, budget), (inst, budget)
         outcomes.add(r.outcome)
     assert outcomes == set(ExplorationOutcome)
+
+
+def test_inconclusive_exploration_reports_exactly_the_budget():
+    budgets = set()
+    for seed in range(200):
+        inst = random_instance(seed, places=2)
+        for budget in range(1, 6):
+            r = bounded_explore(inst, max_states=budget)
+            if r.outcome is ExplorationOutcome.INCONCLUSIVE:
+                assert r.states_visited == budget, (seed, budget)
+                budgets.add(budget)
+    assert budgets == {1, 2, 3, 4, 5}
 
 
 def test_bounded_explore_without_transitions_stops_at_once():
