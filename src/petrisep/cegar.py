@@ -11,7 +11,7 @@ separating inductive half space exists at all.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -23,6 +23,7 @@ from .formula import (
     trivial_separator_formula,
 )
 from .inductivity import NetCheck, OracleBudgetError, check_net, oracle_check_transition
+from .jsondoc import JsonDoc, key
 from .net import HalfSpace, Instance, IntVector, SeparatorVerdict, verify_separator
 from .solver import SmtSession, SolverConfig
 
@@ -47,7 +48,7 @@ class LoopBudget:
 
 
 @dataclass(frozen=True)
-class SynthesisStats:
+class SynthesisStats(JsonDoc):
     iterations: int  # candidate vectors examined
     solver_queries: int
     wall_seconds: float
@@ -55,58 +56,14 @@ class SynthesisStats:
     fast_path: bool  # certificate came from the all-trivial check
     examined: tuple[IntVector, ...]  # normalized candidates, in order
 
-    def to_json(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "solver_queries": self.solver_queries,
-            "wall_seconds": self.wall_seconds,
-            "final_bound": self.final_bound,
-            "fast_path": self.fast_path,
-            "examined": [list(k) for k in self.examined],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SynthesisStats":
-        return cls(
-            int(data["iterations"]),
-            int(data["solver_queries"]),
-            float(data["wall_seconds"]),
-            None if data["final_bound"] is None else int(data["final_bound"]),
-            bool(data["fast_path"]),
-            tuple(tuple(int(x) for x in k) for k in data["examined"]),
-        )
-
 
 @dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(JsonDoc):
     outcome: Outcome
     halfspace: Optional[HalfSpace]
     separator: Optional[SeparatorVerdict]
-    inductivity: Optional[NetCheck]
+    inductivity: Optional[NetCheck] = field(metadata=key("transitions"))
     stats: SynthesisStats
-
-    def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome.value,
-            "halfspace": None if self.halfspace is None else self.halfspace.to_json(),
-            "separator": None if self.separator is None else self.separator.to_json(),
-            "transitions": None
-            if self.inductivity is None
-            else self.inductivity.to_json(),
-            "stats": self.stats.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SynthesisResult":
-        return cls(
-            Outcome(data["outcome"]),
-            None if data["halfspace"] is None else HalfSpace.from_json(data["halfspace"]),
-            None
-            if data["separator"] is None
-            else SeparatorVerdict.from_json(data["separator"]),
-            None if data["transitions"] is None else NetCheck.from_json(data["transitions"]),
-            SynthesisStats.from_json(data["stats"]),
-        )
 
 
 def initial_bound(inst: Instance) -> int:
@@ -223,7 +180,7 @@ def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisRe
 
 
 @dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(JsonDoc):
     """Independent re-check of a claimed certificate.
 
     oracle holds one entry per transition: True/False for the exhaustive
@@ -231,7 +188,7 @@ class CertificateReport:
     """
 
     separator: SeparatorVerdict
-    inductivity: NetCheck
+    inductivity: NetCheck = field(metadata=key("transitions"))
     oracle: tuple[tuple[str, Optional[bool]], ...]
 
     @property
@@ -241,22 +198,7 @@ class CertificateReport:
         return all(v is not False for _, v in self.oracle)
 
     def to_json(self) -> dict:
-        return {
-            "separator": self.separator.to_json(),
-            "transitions": self.inductivity.to_json(),
-            "oracle": [[name, v] for name, v in self.oracle],
-            "ok": self.ok,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CertificateReport":
-        return cls(
-            SeparatorVerdict.from_json(data["separator"]),
-            NetCheck.from_json(data["transitions"]),
-            tuple(
-                (name, None if v is None else bool(v)) for name, v in data["oracle"]
-            ),
-        )
+        return {**super().to_json(), "ok": self.ok}
 
 
 def certify(

@@ -57,6 +57,13 @@ def _parse_vector(parts) -> tuple[int, ...]:
         raise ValueError(f"cannot parse integer vector from {text!r}")
 
 
+def _read_k(args, inst: Instance) -> tuple[int, ...]:
+    k = _parse_vector(args.k)
+    if len(k) != inst.net.n:
+        raise ValueError(f"k has {len(k)} entries but the net has {inst.net.n} places")
+    return k
+
+
 def _load(args) -> Instance:
     inst = load_instance(args.file)
     if getattr(args, "mode", None):
@@ -142,11 +149,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_check(args) -> int:
     inst = _load(args)
-    k = _parse_vector(args.k)
-    if len(k) != inst.net.n:
-        raise ValueError(
-            f"k has {len(k)} entries but the net has {inst.net.n} places"
-        )
+    k = _read_k(args, inst)
     hs = HalfSpace(k, args.c)
     report = certify(inst, hs, oracle_points=0 if args.skip_oracle else 200_000)
     print(f"k = {hs.k}, c = {hs.c}, mode = {inst.mode.value}")
@@ -175,11 +178,7 @@ def _ica_verdict(report, name: str) -> bool:
 
 def cmd_constants(args) -> int:
     inst = _load(args)
-    k = _parse_vector(args.k)
-    if len(k) != inst.net.n:
-        raise ValueError(
-            f"k has {len(k)} entries but the net has {inst.net.n} places"
-        )
+    k = _read_k(args, inst)
     if all(x == 0 for x in k):
         raise ValueError("the zero vector cannot separate any two markings")
     decreasing = [t.name for t in inst.net.transitions if dot(k, t.delta) < 0]
@@ -221,11 +220,7 @@ def cmd_constants(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = _load(args)
-    k = _parse_vector(args.k)
-    if len(k) != inst.net.n:
-        raise ValueError(
-            f"k has {len(k)} entries but the net has {inst.net.n} places"
-        )
+    k = _read_k(args, inst)
     all_inductive = True
     for t in inst.net.transitions:
         r = oracle_check_transition(k, args.c, t, max_points=args.budget)
@@ -305,6 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_k(p):
+        p.add_argument(
+            "--k",
+            required=True,
+            nargs="+",
+            help="coefficients, e.g. --k 3,2 or --k -4 -4 -3",
+        )
+
     def add_common(p, mode=True, jsonout=True):
         p.add_argument("file", help="net file (see README for the format)")
         if mode:
@@ -338,12 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify a given half space k, c")
     add_common(p)
-    p.add_argument(
-        "--k",
-        required=True,
-        nargs="+",
-        help="coefficients, e.g. --k 3,2 or --k -4 -4 -3",
-    )
+    add_k(p)
     p.add_argument("--c", required=True, type=int, help="threshold")
     p.add_argument(
         "--skip-oracle", action="store_true", help="skip the brute-force cross-check"
@@ -354,22 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
         "constants", help="all inductive thresholds for a coefficient vector"
     )
     add_common(p)
-    p.add_argument(
-        "--k",
-        required=True,
-        nargs="+",
-        help="coefficients, e.g. --k 3,2 or --k -4 -4 -3",
-    )
+    add_k(p)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("oracle", help="brute-force inductivity check (small nets)")
     add_common(p, mode=False, jsonout=False)
-    p.add_argument(
-        "--k",
-        required=True,
-        nargs="+",
-        help="coefficients, e.g. --k 3,2 or --k -4 -4 -3",
-    )
+    add_k(p)
     p.add_argument("--c", required=True, type=int, help="threshold")
     p.add_argument(
         "--budget", type=int, default=10_000_000, help="max enumeration points"

@@ -11,9 +11,10 @@ many classes however large c is.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .jsondoc import FLAT, INLINE, JsonDoc
 from .net import HalfSpace, IntVector, PetriNet, Transition, dot
 
 
@@ -106,10 +107,10 @@ def mixed_counterexample(k: Sequence[int], c: int, t: Transition) -> IntVector:
 
 
 @dataclass(frozen=True)
-class TransitionCheck:
+class TransitionCheck(JsonDoc):
     transition: str
     inductive: bool
-    flags: TrivialFlags
+    flags: TrivialFlags = field(metadata=FLAT)
     witness: Optional[IntVector] = None  # x >= 0 violating inductivity
     witness_value: Optional[int] = None  # k.(x + pre) for that x
     # check_transition: residue classes settled by the exact search;
@@ -126,31 +127,6 @@ class TransitionCheck:
         if self.flags.antitone:
             names.append("antitone")
         return "+".join(names) if names else "non-trivial"
-
-    def to_json(self) -> dict:
-        return {
-            "transition": self.transition,
-            "inductive": self.inductive,
-            "oriented": self.flags.oriented,
-            "monotone": self.flags.monotone,
-            "antitone": self.flags.antitone,
-            "witness": None if self.witness is None else list(self.witness),
-            "witness_value": self.witness_value,
-            "sums_explored": self.sums_explored,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TransitionCheck":
-        return cls(
-            data["transition"],
-            bool(data["inductive"]),
-            TrivialFlags(
-                bool(data["oriented"]), bool(data["monotone"]), bool(data["antitone"])
-            ),
-            None if data["witness"] is None else tuple(int(x) for x in data["witness"]),
-            None if data["witness_value"] is None else int(data["witness_value"]),
-            int(data["sums_explored"]),
-        )
 
 
 def check_transition(k: Sequence[int], c: int, t: Transition) -> TransitionCheck:
@@ -211,26 +187,20 @@ def check_transition(k: Sequence[int], c: int, t: Transition) -> TransitionCheck
 
 
 @dataclass(frozen=True)
-class NetCheck:
-    inductive: bool
-    per_transition: tuple[TransitionCheck, ...]
+class NetCheck(JsonDoc):
+    per_transition: tuple[TransitionCheck, ...] = field(metadata=INLINE)
+
+    @property
+    def inductive(self) -> bool:
+        return all(r.inductive for r in self.per_transition)
 
     def failing(self) -> list[TransitionCheck]:
         return [r for r in self.per_transition if not r.inductive]
 
-    def to_json(self) -> list[dict]:
-        return [r.to_json() for r in self.per_transition]
-
-    @classmethod
-    def from_json(cls, data: list) -> "NetCheck":
-        per = tuple(TransitionCheck.from_json(d) for d in data)
-        return cls(all(r.inductive for r in per), per)
-
 
 def check_net(net: PetriNet, hs: HalfSpace) -> NetCheck:
     """Check inductivity of the half space against every transition."""
-    results = tuple(check_transition(hs.k, hs.c, t) for t in net.transitions)
-    return NetCheck(all(r.inductive for r in results), results)
+    return NetCheck(tuple(check_transition(hs.k, hs.c, t) for t in net.transitions))
 
 
 class OracleBudgetError(RuntimeError):

@@ -7,8 +7,10 @@ value has one canonical representation and equality is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
+
+from .jsondoc import INLINE, JsonDoc
 
 Span = tuple[Optional[int], Optional[int]]
 
@@ -25,8 +27,8 @@ def _hi(s: Span):
 
 
 @dataclass(frozen=True)
-class IntervalSet:
-    spans: tuple[Span, ...] = ()
+class IntervalSet(JsonDoc):
+    spans: tuple[Span, ...] = field(default=(), metadata=INLINE)
 
     def __post_init__(self):
         spans = sorted(self.spans, key=lambda s: (_lo(s), _hi(s)))
@@ -145,16 +147,3 @@ class IntervalSet:
             right = "+inf)" if hi is None else f"{hi}]"
             parts.append(f"{left},{right}")
         return " ".join(parts)
-
-    def to_json(self) -> list[list[Optional[int]]]:
-        return [[lo, hi] for lo, hi in self.spans]
-
-    @classmethod
-    def from_json(cls, data) -> "IntervalSet":
-        spans = []
-        for item in data:
-            lo, hi = item
-            spans.append(
-                (None if lo is None else int(lo), None if hi is None else int(hi))
-            )
-        return cls(tuple(spans))

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+from .jsondoc import JsonDoc
+
 IntVector = tuple[int, ...]
 
 
@@ -120,7 +122,7 @@ class Mode(Enum):
 
 
 @dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(JsonDoc):
     """The set of integer vectors m with k . m >= c."""
 
     k: IntVector
@@ -131,13 +133,6 @@ class HalfSpace:
 
     def contains(self, m: Sequence[int]) -> bool:
         return dot(self.k, m) >= self.c
-
-    def to_json(self) -> dict:
-        return {"k": list(self.k), "c": self.c}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HalfSpace":
-        return cls(tuple(int(x) for x in data["k"]), int(data["c"]))
 
 
 @dataclass(frozen=True)
@@ -162,7 +157,7 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class SeparatorVerdict:
+class SeparatorVerdict(JsonDoc):
     """Outcome of the separation check (inductivity checked elsewhere)."""
 
     init_inside: bool
@@ -184,21 +179,6 @@ class SeparatorVerdict:
         if self.cover_nonpositive is False:
             out.append("cover mode requires k <= 0")
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "init_inside": self.init_inside,
-            "final_outside": self.final_outside,
-            "cover_nonpositive": self.cover_nonpositive,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SeparatorVerdict":
-        return cls(
-            bool(data["init_inside"]),
-            bool(data["final_outside"]),
-            None if data["cover_nonpositive"] is None else bool(data["cover_nonpositive"]),
-        )
 
 
 def verify_separator(inst: Instance, hs: HalfSpace) -> SeparatorVerdict:

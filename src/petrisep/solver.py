@@ -176,6 +176,14 @@ def parse_model(text: str, names: Sequence[str]) -> dict[str, int]:
 _EOF = object()
 
 
+def _close_stdin(proc: subprocess.Popen) -> None:
+    """Close the pipe to an exited child; a broken pipe on flush is moot."""
+    try:
+        proc.stdin.close()
+    except OSError:
+        pass
+
+
 class SmtSession:
     """One solver dialogue; base assertions persist across check() calls.
 
@@ -234,6 +242,7 @@ class SmtSession:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        _close_stdin(proc)
 
     def __enter__(self) -> "SmtSession":
         return self
@@ -362,13 +371,15 @@ class SmtSession:
         ).start()
 
     def _drain(self, stream, sink: queue.Queue) -> None:
-        for line in stream:
-            sink.put(line.rstrip("\n"))
+        with stream:
+            for line in stream:
+                sink.put(line.rstrip("\n"))
         sink.put(_EOF)
 
     def _drain_err(self, stream) -> None:
-        for line in stream:
-            self._stderr_tail.append(line.rstrip("\n"))
+        with stream:
+            for line in stream:
+                self._stderr_tail.append(line.rstrip("\n"))
 
     def _kill(self) -> None:
         proc = self._proc
@@ -376,6 +387,7 @@ class SmtSession:
         if proc is not None:
             proc.kill()
             proc.wait()
+            _close_stdin(proc)
 
     def _send(self, text: str) -> None:
         if self._proc is None:

@@ -1,9 +1,11 @@
 """Command-line behavior: outputs, exit codes, JSON, round trips."""
 
 import json
+import re
 import shlex
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -58,10 +60,15 @@ def test_check_json_output(example_file, capsys):
 
 
 def test_check_arity_mismatch_is_an_input_error(example_file, capsys):
-    code = main(["check", example_file, "--k", "3,2,1", "--c", "9"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "input error" in err
+    for argv in (
+        ["check", example_file, "--k", "3,2,1", "--c", "9"],
+        ["constants", example_file, "--k", "3,2,1"],
+        ["oracle", example_file, "--k", "3", "--c", "9"],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3, argv
+        assert "input error: k has" in err, argv
 
 
 def test_check_unparseable_vector_is_an_input_error(example_file, capsys):
@@ -232,3 +239,27 @@ def test_console_script_entry_point(example_file):
     )
     assert proc.returncode == 0
     assert "certificate holds" in proc.stdout
+
+
+GOLDEN_RUNS = (
+    ["synthesize", "--json", "-"],
+    ["synthesize", "--mode", "cover", "--json", "-"],
+    ["check", "--k", "3,2", "--c", "9", "--json", "-"],
+    ["check", "--k", "3,2", "--c", "8", "--json", "-"],
+    ["constants", "--k", "3,2", "--json", "-"],
+)
+
+
+def test_cli_json_documents_match_golden(example_file, tmp_path, monkeypatch, capsys):
+    # PATH set to the test's own directory hides any native z3, so synthesis
+    # runs on the built-in backend everywhere; only the wall time is masked.
+    monkeypatch.setenv("PATH", str(tmp_path))
+    printed = []
+    for argv in GOLDEN_RUNS:
+        code = main([argv[0], example_file, *argv[1:]])
+        out = capsys.readouterr().out
+        out = re.sub(r'"wall_seconds": [^,\n]+', '"wall_seconds": "<wall>"', out)
+        out = re.sub(r"wall: [0-9.]+s", "wall: <wall>s", out)
+        printed.append(f"$ petrisep {shlex.join(argv)}  # exit {code}\n{out}")
+    golden = Path(__file__).with_name("cli_json.golden")
+    assert "".join(printed) == golden.read_text()
