@@ -11,10 +11,11 @@ Exit codes, uniform across subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shlex
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO, Union
 
 from .cegar import LoopBudget, Outcome, certify, synthesize
 from .constants import constants_for_instance, separator_window
@@ -71,15 +72,16 @@ def _load(args) -> Instance:
     return inst
 
 
-def _write_json(path: Optional[str], doc) -> None:
-    if not path:
+def _write_json(target: Union[None, str, TextIO], doc) -> None:
+    """Write doc to a file path or, for --json -, to the stream main kept."""
+    if not target:
         return
     text = json.dumps(doc, indent=2) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
+    if isinstance(target, str):
+        with open(target, "w", encoding="utf-8") as fh:
             fh.write(text)
+    else:
+        target.write(text)
 
 
 def _solver_config(args) -> SolverConfig:
@@ -315,7 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
                 "--mode", choices=["reach", "cover"], help="override the file's mode"
             )
         if jsonout:
-            p.add_argument("--json", metavar="PATH", help="write JSON ('-' = stdout)")
+            p.add_argument(
+                "--json",
+                metavar="PATH",
+                help="write JSON ('-' = stdout, and the report goes to stderr)",
+            )
 
     p = sub.add_parser("synthesize", help="search for a separating half space")
     add_common(p)
@@ -399,8 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    report = contextlib.nullcontext()
+    if getattr(args, "json", None) == "-":
+        # stdout carries the JSON document alone; the report lines go to stderr
+        args.json = sys.stdout
+        report = contextlib.redirect_stdout(sys.stderr)
     try:
-        return args.func(args)
+        with report:
+            return args.func(args)
     except OracleBudgetError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -11,14 +11,23 @@ concrete integer coefficients so formulas can be both evaluated locally
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Sequence, Union
+from functools import cache
+from operator import mul, sub
+from typing import NamedTuple, Sequence, Union
 
-from .net import Instance, IntVector, Mode, Transition, vec_add, vec_sub
+from .net import Instance, IntVector, Mode, Transition
 
 Formula = Union["Atom", "Conj", "Disj", "Neg"]
 
-_RELS = {">=", ">", "=", "<=", "<"}
+_RELS = {
+    ">=": operator.ge,
+    ">": operator.gt,
+    "=": operator.eq,
+    "<=": operator.le,
+    "<": operator.lt,
+}
 
 
 @dataclass(frozen=True)
@@ -32,7 +41,8 @@ class Atom:
     def __post_init__(self):
         if self.rel not in _RELS:
             raise ValueError(f"bad relation {self.rel!r}")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        if type(self.coeffs) is not tuple:
+            object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -58,22 +68,20 @@ class Neg:
 
 def evaluate(f: Formula, k: Sequence[int]) -> bool:
     """Evaluate under the assignment k with exact integer arithmetic."""
-    if isinstance(f, Atom):
-        lhs = sum(c * v for c, v in zip(f.coeffs, k))
-        if f.rel == ">=":
-            return lhs >= f.rhs
-        if f.rel == ">":
-            return lhs > f.rhs
-        if f.rel == "=":
-            return lhs == f.rhs
-        if f.rel == "<=":
-            return lhs <= f.rhs
-        return lhs < f.rhs
-    if isinstance(f, Conj):
-        return all(evaluate(p, k) for p in f.parts)
-    if isinstance(f, Disj):
-        return any(evaluate(p, k) for p in f.parts)
-    if isinstance(f, Neg):
+    kind = type(f)
+    if kind is Atom:
+        return _RELS[f.rel](sum(map(mul, f.coeffs, k)), f.rhs)
+    if kind is Conj:
+        for p in f.parts:
+            if not evaluate(p, k):
+                return False
+        return True
+    if kind is Disj:
+        for p in f.parts:
+            if evaluate(p, k):
+                return True
+        return False
+    if kind is Neg:
         return not evaluate(f.inner, k)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -84,17 +92,28 @@ def _unit(n: int, i: int, value: int = 1) -> IntVector:
     return tuple(v)
 
 
-def _sign_parts(n: int) -> tuple[tuple[IntVector, ...], Conj, Conj]:
-    """The unit vectors, k >= 0 and k <= 0: immutable, so shareable."""
-    units = tuple(_unit(n, i) for i in range(n))
+class _SignParts(NamedTuple):
+    """Per-place pieces every transition of an n-place net shares."""
+
+    zeros: tuple[Atom, ...]  # k(i) = 0
+    nonneg: Conj  # k >= 0
+    nonpos: Conj  # k <= 0
+    sign_pure: Disj  # k >= 0 or k <= 0
+
+
+@cache
+def _sign_parts(n: int) -> _SignParts:
+    """Immutable, so one copy per arity serves every formula."""
+    units = [_unit(n, i) for i in range(n)]
     nonneg = Conj(tuple(Atom(e_i, ">=", 0) for e_i in units))
     nonpos = Conj(tuple(Atom(e_i, "<=", 0) for e_i in units))
-    return units, nonneg, nonpos
+    zeros = tuple(Atom(e_i, "=", 0) for e_i in units)
+    return _SignParts(zeros, nonneg, nonpos, Disj((nonneg, nonpos)))
 
 
 def separation_condition(inst: Instance) -> Atom:
     """k . m_init > k . m_final: some threshold can split the markings."""
-    return Atom(vec_sub(inst.m_init, inst.m_final), ">", 0)
+    return Atom(tuple(map(sub, inst.m_init, inst.m_final)), ">", 0)
 
 
 def transition_options(inst: Instance, t: Transition) -> Disj:
@@ -109,25 +128,21 @@ def transition_options(inst: Instance, t: Transition) -> Disj:
     return _options(inst, t, _sign_parts(inst.net.n))
 
 
-def _options(inst: Instance, t: Transition, shared: tuple) -> Disj:
-    units, nonneg, nonpos = shared
-    oriented = Atom(t.delta, ">=", 0)
-    antitone = Conj((nonpos, Atom(vec_sub(inst.m_init, t.pre), ">", 0)))
-    monotone = Conj((nonneg, Atom(vec_sub(t.post, inst.m_final), ">", 0)))
-    sign_pure = Disj((nonneg, nonpos))
+def _options(inst: Instance, t: Transition, shared: _SignParts) -> Disj:
+    # Instance has checked every arity, so plain elementwise maps suffice.
+    delta = t.delta
+    oriented = Atom(delta, ">=", 0)
+    antitone = Conj((shared.nonpos, Atom(tuple(map(sub, inst.m_init, t.pre)), ">", 0)))
+    monotone = Conj((shared.nonneg, Atom(tuple(map(sub, t.post, inst.m_final)), ">", 0)))
     spans = []
-    for e_i in units:
-        spans.append(
-            Disj(
-                (
-                    Atom(e_i, "=", 0),
-                    Atom(vec_add(e_i, t.delta), ">=", 0),  # k(i) >= -k.delta
-                    Atom(vec_sub(t.delta, e_i), ">=", 0),  # -k(i) >= -k.delta
-                )
-            )
-        )
+    for i, zero in enumerate(shared.zeros):
+        up = list(delta)
+        up[i] += 1  # k(i) >= -k.delta
+        down = list(delta)
+        down[i] -= 1  # -k(i) >= -k.delta
+        spans.append(Disj((zero, Atom(tuple(up), ">=", 0), Atom(tuple(down), ">=", 0))))
     wide_enough = Conj(tuple(spans))
-    return Disj((oriented, antitone, monotone, Conj((sign_pure, wide_enough))))
+    return Disj((oriented, antitone, monotone, Conj((shared.sign_pure, wide_enough))))
 
 
 def transition_formula(inst: Instance, t: Transition) -> Conj:
@@ -148,7 +163,7 @@ def separator_formula(inst: Instance) -> Conj:
     parts: list[Formula] = [separation_condition(inst)]
     parts.extend(_options(inst, t, shared) for t in inst.net.transitions)
     if inst.mode is Mode.COVER:
-        parts.append(shared[2])
+        parts.append(shared.nonpos)
     return Conj(tuple(parts))
 
 

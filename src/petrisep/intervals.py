@@ -118,16 +118,26 @@ class IntervalSet(JsonDoc):
         return IntervalSet(self.spans + other.spans)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        # Merge-walk two canonical span lists: the overlaps come out sorted,
+        # disjoint and non-adjacent (adjacent overlaps would need adjacent
+        # spans in an operand), so the result skips __post_init__.
+        a, b = self.spans, other.spans
         out: list[Span] = []
-        for a in self.spans:
-            for b in other.spans:
-                lo = max(_lo(a), _lo(b))
-                hi = min(_hi(a), _hi(b))
-                if lo <= hi:
-                    out.append(
-                        (None if lo == _NEG else int(lo), None if hi == _POS else int(hi))
-                    )
-        return IntervalSet(tuple(out))
+        i = j = 0
+        while i < len(a) and j < len(b):
+            alo, ahi = a[i]
+            blo, bhi = b[j]
+            lo = blo if alo is None else alo if blo is None else max(alo, blo)
+            hi = bhi if ahi is None else ahi if bhi is None else min(ahi, bhi)
+            if lo is None or hi is None or lo <= hi:
+                out.append((lo, hi))
+            if ahi is None or (bhi is not None and bhi < ahi):
+                j += 1  # b's span ends first
+            else:
+                i += 1
+        result = object.__new__(IntervalSet)
+        object.__setattr__(result, "spans", tuple(out))
+        return result
 
     def clip(self, lo: int, hi: int) -> "IntervalSet":
         """Restrict to the bounded window [lo, hi]."""

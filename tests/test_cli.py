@@ -52,9 +52,10 @@ def test_check_negative_coefficients_as_separate_tokens(tmp_path, capsys):
 
 def test_check_json_output(example_file, capsys):
     code = main(["check", example_file, "--k", "3,2", "--c", "8", "--json", "-"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 1
-    doc = json.loads(out[out.index("{") :])
+    assert "certificate FAILS" in captured.err
+    doc = json.loads(captured.out)
     assert doc["halfspace"] == {"k": [3, 2], "c": 8}
     assert doc["report"]["ok"] is False
 
@@ -202,10 +203,10 @@ def test_usage_errors_keep_argparse_exit_code(example_file):
 
 def test_synthesize_running_example_cli(example_file, capsys):
     code = main(["synthesize", example_file, "--json", "-"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 0
-    assert "outcome: found" in out
-    doc = json.loads(out[out.index("{") :])
+    assert "outcome: found" in captured.err
+    doc = json.loads(captured.out)
     assert doc["outcome"] == "found"
     assert doc["separator"]["init_inside"] is True
 
@@ -253,11 +254,15 @@ GOLDEN_RUNS = (
 def test_cli_json_documents_match_golden(example_file, tmp_path, monkeypatch, capsys):
     # PATH set to the test's own directory hides any native z3, so synthesis
     # runs on the built-in backend everywhere; only the wall time is masked.
+    # Lines marked "2> " went to stderr; the rest is stdout, the document.
     monkeypatch.setenv("PATH", str(tmp_path))
     printed = []
     for argv in GOLDEN_RUNS:
         code = main([argv[0], example_file, *argv[1:]])
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
+        json.loads(captured.out)  # stdout is exactly one document
+        out = "".join(f"2> {line}\n" for line in captured.err.splitlines())
+        out += captured.out
         out = re.sub(r'"wall_seconds": [^,\n]+', '"wall_seconds": "<wall>"', out)
         out = re.sub(r"wall: [0-9.]+s", "wall: <wall>s", out)
         printed.append(f"$ petrisep {shlex.join(argv)}  # exit {code}\n{out}")

@@ -191,3 +191,41 @@ def test_transition_formula_bundles_separation(two_place):
     f = transition_formula(two_place, t)
     assert evaluate(f, (3, 2))
     assert not evaluate(f, (1, 1))  # separation fails even though t is fine
+
+
+def _options_reference(inst, k) -> bool:
+    """separator_formula's meaning in plain arithmetic, with no Atom built."""
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    if dot(k, inst.m_init) <= dot(k, inst.m_final):
+        return False  # separation
+    nonneg = all(x >= 0 for x in k)
+    nonpos = all(x <= 0 for x in k)
+    if inst.mode is Mode.COVER and not nonpos:
+        return False
+    for t in inst.net.transitions:
+        drop = -dot(k, t.delta)
+        oriented = drop <= 0
+        antitone = nonpos and dot(k, t.pre) < dot(k, inst.m_init)
+        monotone = nonneg and dot(k, t.post) > dot(k, inst.m_final)
+        wide_enough = all(x == 0 or abs(x) >= drop for x in k)
+        if not (oriented or antitone or monotone or ((nonneg or nonpos) and wide_enough)):
+            return False
+    return True
+
+
+def test_separator_formula_means_the_documented_options():
+    accepted = rejected = 0
+    for seed in range(40):
+        for mode in (Mode.REACH, Mode.COVER):
+            places = 1 + seed % 4
+            inst = random_instance(seed, places=places, mode=mode)
+            f = separator_formula(inst)
+            for k in box(places, 2 if places == 4 else 3):
+                expected = _options_reference(inst, k)
+                assert evaluate(f, k) == expected, (seed, mode, k)
+                accepted += expected
+                rejected += not expected
+    assert accepted > 500 and rejected > 500  # both sides are exercised

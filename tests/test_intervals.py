@@ -97,3 +97,41 @@ def test_json_round_trip():
         s, _ = random_set(rng)
         s = s.union(IntervalSet.at_least(35)) if rng.random() < 0.3 else s
         assert IntervalSet.from_json(s.to_json()) == s
+
+
+def random_canonical(rng: random.Random) -> IntervalSet:
+    """A small set over [-12, 12]: rays, singletons and touching spans."""
+    spans = []
+    for _ in range(rng.randint(0, 5)):
+        lo = rng.randint(-12, 12)
+        shape = rng.random()
+        if shape < 0.15:
+            spans.append((None, lo))
+        elif shape < 0.3:
+            spans.append((lo, None))
+        elif shape < 0.5:
+            spans.append((lo, lo))
+        else:
+            spans.append((lo, lo + rng.randint(0, 6)))
+        if rng.random() < 0.3 and spans[-1][1] is not None:
+            end = spans[-1][1]  # an adjacent span, fused by the constructor
+            spans.append((end + 1, end + 1 + rng.randint(0, 3)))
+    return IntervalSet(tuple(spans))
+
+
+def test_merge_walk_intersection_is_exact_and_canonical():
+    rng = random.Random(2024)
+    probe = range(-20, 21)
+    for _ in range(2000):
+        a, b = random_canonical(rng), random_canonical(rng)
+        r = a.intersect(b)
+        assert IntervalSet(r.spans) == r, (a, b, r)
+        for v in probe:
+            assert (v in r) == (v in a and v in b), (a, b, v)
+        assert r == b.intersect(a)
+        lo = rng.randint(-15, 15)
+        hi = lo + rng.randint(-2, 12)  # sometimes an empty window
+        c = a.clip(lo, hi)
+        assert c == a.intersect(IntervalSet.between(lo, hi))
+        assert IntervalSet(c.spans) == c
+        assert {v for v in probe if v in c} == {v for v in probe if v in a and lo <= v <= hi}
