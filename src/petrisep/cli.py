@@ -90,7 +90,6 @@ def _solver_config(args) -> SolverConfig:
         command=command,
         timeout_ms=args.timeout_ms,
         minimize=args.minimize,
-        incremental=args.incremental,
     )
 
 
@@ -325,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="search for a separating half space")
     add_common(p)
-    p.add_argument("--solver", help="solver command reading SMT-LIB2 on stdin, e.g. 'z3 -in'")
+    p.add_argument("--solver", help="SMT-LIB2 solver with push/pop on stdin, e.g. 'z3 -in'")
     p.add_argument("--timeout-ms", type=int, default=60_000, help="per solver query")
     p.add_argument("--max-iters", type=int, default=200, help="candidate vectors to try")
     p.add_argument("--max-seconds", type=float, default=300.0, help="total wall budget")
@@ -335,13 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="ask the solver for small coefficient vectors",
-    )
-    p.add_argument(
-        "--incremental",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="external solvers only: keep one process alive across queries "
-        "(--no-incremental starts one per query)",
     )
     p.set_defaults(func=cmd_synthesize)
 

@@ -253,7 +253,7 @@ def oracle_check_transition(
         """v has not passed the window's far end."""
         return v < hi if up else v >= lo
 
-    # Odometer enumeration, first coordinate fastest, incremental sums.
+    # Odometer enumeration, first coordinate fastest, with a running sum.
     x = [0] * n
     s = base
     count = 0

@@ -1,11 +1,13 @@
 """Deciding the synthesis formulas: an SMT session with two backends.
 
-An external solver is a child process reading SMT-LIB2 on stdin: an
-explicit command, else a native `z3 -in` on PATH. Without either,
-SmtSession decides the same Formula objects with the built-in exact
-integer backend (`exact.py`), so synthesis never needs a binary. An
-external solver's timeout or 'unknown' is raised at once; there is no
-retry. Every model, from either backend, is re-evaluated locally with
+An external solver is one child process reading SMT-LIB2 on stdin: an
+explicit command, else a native `z3 -in` on PATH. It is kept alive for
+the whole session, and each query runs in a push/pop frame, so the
+command must accept push, pop, echo, reset and get-value. Without
+either, SmtSession decides the same Formula objects with the built-in
+exact integer backend (`exact.py`), so synthesis never needs a binary.
+An external solver's timeout or 'unknown' is raised at once; there is
+no retry. Every model, from either backend, is re-evaluated locally with
 exact integer arithmetic before being accepted, so a misbehaving or
 misparsed solver can never smuggle in a bad vector.
 """
@@ -53,7 +55,6 @@ class SolverConfig:
     command: Optional[tuple[str, ...]] = None  # None: discover automatically
     timeout_ms: int = 15_000  # per solver query
     minimize: bool = True  # shrink the |k| sum of each model before use
-    incremental: bool = True  # external solver: keep one child alive, use push/pop
 
     def __post_init__(self):
         if self.timeout_ms <= 0:
@@ -187,13 +188,13 @@ def _close_stdin(proc: subprocess.Popen) -> None:
 class SmtSession:
     """One solver dialogue; base assertions persist across check() calls.
 
-    begin(n) opens a fresh problem over n integer unknowns (reusing the
-    child process in incremental mode via (reset)). add() asserts at the
-    base level; check(extra) decides base + extra, returning a model dict
-    or None for unsat. The extra formulas live in a scoped frame, so they
-    vanish after the call. With command None the built-in exact backend
-    answers every check() in-process and no child is started; with
-    incremental off, every external query starts its own child.
+    begin(n) opens a fresh problem over the integer unknowns k0..k(n-1),
+    reusing the child process via (reset). add() asserts at the base
+    level; check(extra) decides base + extra, returning a model dict or
+    None for unsat. The extra formulas live in a push/pop frame, so they
+    vanish after the call. add() and check() before begin() raise
+    SolverError. With command None the built-in exact backend answers
+    every check() in-process and no child is started.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -210,13 +211,13 @@ class SmtSession:
 
     # -- lifecycle ----------------------------------------------------
 
-    def begin(self, nvars: int, prefix: str = "k") -> None:
+    def begin(self, nvars: int) -> None:
         if nvars < 1:
             raise ValueError("need at least one unknown")
-        self._names = [f"{prefix}{i}" for i in range(nvars)]
-        self._aux = [f"abs_{prefix}{i}" for i in range(nvars)]
+        self._names = [f"k{i}" for i in range(nvars)]
+        self._aux = [f"abs_k{i}" for i in range(nvars)]
         self._base = []
-        if self.command and self.cfg.incremental:
+        if self.command:
             if self._proc is None:
                 self._spawn()
             else:
@@ -253,8 +254,10 @@ class SmtSession:
     # -- problem construction -------------------------------------------
 
     def add(self, f: Formula) -> None:
+        if not self._names:
+            raise SolverError("call begin() before add()")
         self._base.append(f)
-        if self.command and self.cfg.incremental:
+        if self.command:
             self._send(f"(assert {to_smt(f, self._names)})")
 
     def check(self, extra: Sequence[Formula] = ()) -> Optional[dict[str, int]]:
@@ -273,10 +276,9 @@ class SmtSession:
         self.queries += 1
         if self.command is None:
             model = self._check_exact(extra)
-        elif self.cfg.incremental:
-            model = self._check_incremental(extra)
         else:
-            model = self._minimized(lambda cap: self._oneshot_query(extra, cap))
+            asserts = [f"(assert {to_smt(f, self._names)})" for f in extra]
+            model = self._scoped(asserts, self._minimized)
         if model is not None:
             assignment = [model[n] for n in self._names]
             for f in self._base + extra:
@@ -296,7 +298,7 @@ class SmtSession:
         values = solve(self._base + extra, len(self._names), self.cfg.minimize, deadline)
         return None if values is None else dict(zip(self._names, values))
 
-    # -- shared by both external modes ---------------------------------
+    # -- external solver: one child process, queries in push/pop frames --
 
     def _preamble(self) -> str:
         # Solver-side timeout below the pipe deadline, so a hard query
@@ -324,21 +326,20 @@ class SmtSession:
         total = self._aux[0] if len(self._aux) == 1 else "(+ " + " ".join(self._aux) + ")"
         return f"(assert (<= {total} {cap}))"
 
-    def _minimized(
-        self, query: Callable[[Optional[int]], Optional[dict[str, int]]]
-    ) -> Optional[dict[str, int]]:
-        """query(None), then a binary search over query(cap) for a smaller |k| sum.
+    def _minimized(self) -> Optional[dict[str, int]]:
+        """A plain check, then a binary search over capped probes for a smaller |k| sum.
 
-        query(cap) decides the problem with sum |k(i)| <= cap (no cap for None).
+        Each probe decides the problem with sum |k(i)| <= cap in its own
+        push/pop frame.
         """
-        best = query(None)
+        best = self._plain_check()
         if best is None or not self.cfg.minimize:
             return best
         lo, hi = 0, self._abs_sum(best) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
             try:
-                probe = query(mid)
+                probe = self._scoped([self._cap_assert(mid)], self._plain_check)
             except SolverUnknownError:
                 break  # minimization is best effort; keep the incumbent
             if probe is None:
@@ -347,8 +348,6 @@ class SmtSession:
                 best = probe
                 hi = self._abs_sum(probe) - 1
         return best
-
-    # -- incremental mode ---------------------------------------------
 
     def _spawn(self) -> None:
         try:
@@ -424,12 +423,16 @@ class SmtSession:
                 lines.append(line)
 
     def _plain_check(self) -> Optional[dict[str, int]]:
+        """(check-sat), then get-value on sat; None for unsat."""
         lines = self._exchange("(check-sat)")
-        if not _is_sat(lines, f"no sat/unsat answer: {lines!r}"):
+        status = next((l for l in lines if l in ("sat", "unsat", "unknown")), None)
+        if status is None:
+            raise SolverProcessError(f"no sat/unsat answer: {lines!r}")
+        if status == "unknown":
+            raise SolverUnknownError("solver answered 'unknown'")
+        if status == "unsat":
             return None
-        return self._model(self._exchange(f"(get-value ({' '.join(self._names)}))"))
-
-    def _model(self, lines: list[str]) -> dict[str, int]:
+        lines = self._exchange(f"(get-value ({' '.join(self._names)}))")
         errors = [l for l in lines if l.startswith("(error")]
         if errors:
             raise SolverProcessError(f"get-value failed: {errors!r}")
@@ -448,54 +451,3 @@ class SmtSession:
             if self._proc is not None:
                 self._send("(pop 1)")
 
-    def _capped_check(self, cap: Optional[int]) -> Optional[dict[str, int]]:
-        if cap is None:
-            return self._plain_check()
-        return self._scoped([self._cap_assert(cap)], self._plain_check)
-
-    def _check_incremental(self, extra: list[Formula]) -> Optional[dict[str, int]]:
-        asserts = [f"(assert {to_smt(f, self._names)})" for f in extra]
-        return self._scoped(asserts, lambda: self._minimized(self._capped_check))
-
-    # -- one-shot mode ---------------------------------------------------
-
-    def _script(self, extra: list[Formula], cap: Optional[int]) -> str:
-        parts = [self._preamble()]
-        for f in self._base + extra:
-            parts.append(f"(assert {to_smt(f, self._names)})")
-        if cap is not None:
-            parts.append(self._cap_assert(cap))
-        parts.append("(check-sat)")
-        parts.append(f"(get-value ({' '.join(self._names)}))")
-        return "\n".join(parts) + "\n"
-
-    def _oneshot_query(
-        self, extra: list[Formula], cap: Optional[int]
-    ) -> Optional[dict[str, int]]:
-        try:
-            run = subprocess.run(
-                self.command,
-                input=self._script(extra, cap),
-                capture_output=True,
-                text=True,
-                timeout=self.cfg.timeout_ms / 1000.0,
-            )
-        except OSError as exc:
-            raise SolverProcessError(f"cannot start solver {self.command}: {exc}")
-        except subprocess.TimeoutExpired:
-            raise SolverTimeoutError(f"no answer within {self.cfg.timeout_ms} ms")
-        lines = [l.strip() for l in run.stdout.splitlines() if l.strip()]
-        detail = f"exit {run.returncode}: {run.stdout!r} {run.stderr!r}"
-        if not _is_sat(lines, f"no sat/unsat answer from solver ({detail})"):
-            return None
-        return self._model(lines[lines.index("sat") + 1 :])
-
-
-def _is_sat(lines: list[str], missing: str) -> bool:
-    """The check-sat answer among lines: True for sat, False for unsat."""
-    status = next((l for l in lines if l in ("sat", "unsat", "unknown")), None)
-    if status is None:
-        raise SolverProcessError(missing)
-    if status == "unknown":
-        raise SolverUnknownError("solver answered 'unknown'")
-    return status == "sat"

@@ -4,9 +4,11 @@ Reads one SMT-LIB2 command per line on stdin and understands only what
 SmtSession sends: (echo "X") prints X; (push 1) / (pop 1) / (reset) keep a
 stack of caps asserted as (<= (+ abs_k0 ...) N); (check-sat) answers from a
 fixed model list, the first model whose |k| sum is within every cap, else
-unsat; (get-value (k0 ...)) prints that model. Everything else is ignored.
+unsat; (get-value (k0 ...)) prints that model. Everything else is ignored,
+and so is (echo "X") under --no-echo, like a solver that cannot echo.
 
     python fake_smt.py --models 6,4 3,2 --log PATH [--on-check unknown|hang|exit]
+                       [--no-echo]
 
 Each start appends "spawn" to the log, each (check-sat) "check-sat".
 """
@@ -26,6 +28,7 @@ def main() -> None:
     parser.add_argument(
         "--on-check", choices=["model", "unknown", "hang", "exit"], default="model"
     )
+    parser.add_argument("--no-echo", action="store_true")
     args = parser.parse_args()
     models = [tuple(int(x) for x in m.split(",")) for m in args.models]
 
@@ -43,7 +46,8 @@ def main() -> None:
     for line in sys.stdin:
         cmd = line.strip()
         if cmd.startswith("(echo "):
-            say(cmd[len('(echo "') : -len('")')])
+            if not args.no_echo:
+                say(cmd[len('(echo "') : -len('")')])
         elif cmd == "(push 1)":
             caps.append([])
         elif cmd == "(pop 1)":

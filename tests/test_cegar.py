@@ -146,12 +146,8 @@ def test_budget_exhaustion_is_reported():
     assert result.halfspace is None
 
 
-def test_minimize_and_incremental_toggles_do_not_change_verdicts(two_place):
-    for cfg in (
-        SolverConfig(minimize=False),
-        SolverConfig(incremental=False),
-        SolverConfig(minimize=False, incremental=False),
-    ):
+def test_minimize_toggle_does_not_change_verdicts(two_place):
+    for cfg in (SolverConfig(), SolverConfig(minimize=False)):
         result = synthesize(two_place, cfg)
         assert result.outcome is Outcome.FOUND
         assert verify_separator(two_place, result.halfspace).ok

@@ -60,6 +60,22 @@ def test_check_json_output(example_file, capsys):
     assert doc["report"]["ok"] is False
 
 
+def test_check_skip_oracle_calls_no_oracle(example_file, capsys):
+    argv = ["check", example_file, "--k", "3,2", "--c", "9", "--skip-oracle"]
+    code = main(argv + ["--json", "-"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "certificate holds" in captured.err
+    assert "oracle " not in captured.err
+    oracle = json.loads(captured.out)["report"]["oracle"]
+    assert [name for name, _ in oracle] == ["t", "u", "v"]
+    assert all(verdict is None for _, verdict in oracle)
+    # the exact checker alone still refuses a sign-mixed k
+    code = main(["check", example_file, "--k", "3,-2", "--c", "1", "--skip-oracle"])
+    assert code == 1
+    assert "certificate FAILS" in capsys.readouterr().out
+
+
 def test_check_arity_mismatch_is_an_input_error(example_file, capsys):
     for argv in (
         ["check", example_file, "--k", "3,2,1", "--c", "9"],
@@ -219,13 +235,17 @@ def test_synthesize_cover_mode_refutes_via_cli(example_file, capsys):
 
 
 def test_synthesize_solver_that_dies_exits_4(example_file, tmp_path, capsys):
-    log = tmp_path / "fake.log"
-    for mode in ("--incremental", "--no-incremental"):
-        solver = shlex.join(fake_smt_command(log, "--on-check", "exit"))
-        code = main(["synthesize", example_file, "--solver", solver, mode])
-        assert code == 4, mode
-        assert "solver error" in capsys.readouterr().err
-    assert log.read_text().split() == ["spawn", "check-sat"] * 2
+    # a solver that exits mid-query, and one that never echoes the sync marker
+    for name, fake_args, timeout, error in (
+        ("exit", ("--on-check", "exit"), "60000", "solver exited unexpectedly"),
+        ("no-echo", ("--no-echo",), "500", "no answer within 500 ms"),
+    ):
+        log = tmp_path / f"{name}.log"
+        solver = shlex.join(fake_smt_command(log, *fake_args))
+        code = main(["synthesize", example_file, "--solver", solver, "--timeout-ms", timeout])
+        assert code == 4, name
+        assert f"solver error: {error}" in capsys.readouterr().err
+        assert log.read_text().split() == ["spawn", "check-sat"], name
 
 
 @pytest.mark.skipif(

@@ -17,6 +17,7 @@ from petrisep.formula import (
     separator_formula,
 )
 from petrisep.solver import (
+    SolverError,
     SolverNotFoundError,
     SolverParseError,
     SolverTimeoutError,
@@ -74,13 +75,9 @@ def test_config_validation():
 PROPORTION = [Atom((2, -3), "=", 0), Atom((1, 0), ">", 0)]  # 2 k0 = 3 k1, k0 > 0
 
 
-def fake_check(log, incremental, *fake_args, timeout_ms=15_000):
+def fake_check(log, *fake_args, timeout_ms=15_000):
     """check() on PROPORTION through the fake solver; returns the model."""
-    cfg = SolverConfig(
-        command=fake_smt_command(log, *fake_args),
-        timeout_ms=timeout_ms,
-        incremental=incremental,
-    )
+    cfg = SolverConfig(command=fake_smt_command(log, *fake_args), timeout_ms=timeout_ms)
     with SmtSession(cfg) as s:
         s.begin(2)
         for f in PROPORTION:
@@ -88,36 +85,44 @@ def fake_check(log, incremental, *fake_args, timeout_ms=15_000):
         return s.check()
 
 
-def test_external_pipe_minimizes_in_both_modes(tmp_path):
-    calls = {}
-    for incremental in (True, False):
-        log = tmp_path / f"incremental-{incremental}.log"
-        model = fake_check(log, incremental, "--models", "6,4", "3,2")
-        assert model == {"k0": 3, "k1": 2}
-        events = log.read_text().split()
-        calls[incremental] = events.count("check-sat")
-        # one child for the session, or one per query
-        assert events.count("spawn") == (1 if incremental else calls[incremental])
-    assert calls[True] == calls[False] == 3  # (6,4), then caps 4 (unsat) and 7
+def test_external_pipe_minimizes_in_one_child(tmp_path):
+    log = tmp_path / "fake.log"
+    assert fake_check(log, "--models", "6,4", "3,2") == {"k0": 3, "k1": 2}
+    # (6,4), then caps 4 (unsat) and 7, all in the one child
+    assert log.read_text().split() == ["spawn"] + ["check-sat"] * 3
 
 
 def test_external_unknown_and_timeout_raise_after_one_spawn(tmp_path):
-    for incremental in (True, False):
-        log = tmp_path / f"unknown-{incremental}.log"
-        with pytest.raises(SolverUnknownError):
-            fake_check(log, incremental, "--on-check", "unknown")
-        assert log.read_text().split() == ["spawn", "check-sat"]
+    log = tmp_path / "unknown.log"
+    with pytest.raises(SolverUnknownError):
+        fake_check(log, "--on-check", "unknown")
+    assert log.read_text().split() == ["spawn", "check-sat"]
 
-        log = tmp_path / f"hang-{incremental}.log"
+    # a hanging solver, and one that never echoes the sync marker back
+    for name, fake_args in (("hang", ("--on-check", "hang")), ("no-echo", ("--no-echo",))):
+        log = tmp_path / f"{name}.log"
         with pytest.raises(SolverTimeoutError):
-            fake_check(log, incremental, "--on-check", "hang", timeout_ms=500)
-        assert log.read_text().split().count("spawn") == 1
+            fake_check(log, *fake_args, timeout_ms=500)
+        assert log.read_text().split().count("spawn") == 1, name
 
 
 def test_external_model_failing_reevaluation_is_refused(tmp_path):
-    for incremental in (True, False):
-        with pytest.raises(SolverParseError):
-            fake_check(tmp_path / f"bad-{incremental}.log", incremental, "--models", "1,1")
+    with pytest.raises(SolverParseError):
+        fake_check(tmp_path / "bad.log", "--models", "1,1")
+
+
+def test_add_before_begin_raises_on_both_backends(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver_module.shutil, "which", lambda name: None)
+    log = tmp_path / "fake.log"
+    pipe = fake_smt_command(log, "--models", "4")
+    for cfg in (SolverConfig(minimize=False), SolverConfig(pipe, minimize=False)):
+        with SmtSession(cfg) as s:
+            with pytest.raises(SolverError, match=r"call begin\(\) before add\(\)"):
+                s.add(Atom((1,), "=", 4))
+            s.begin(1)
+            s.add(Atom((1,), "=", 4))
+            assert s.check() == {"k0": 4}
+    assert log.read_text().split() == ["spawn", "check-sat"]
 
 
 # -- solving ------------------------------------------------------------
@@ -237,19 +242,6 @@ def test_begin_resets_state_for_reuse():
         assert sum(model.values()) == -2
         # the old k0 = 4 constraint must be gone
         assert s.check([Atom((1, 0, 0), "=", 0)]) is not None
-
-
-def test_oneshot_mode_agrees_with_incremental():
-    base = [Atom((2, 3), "=", 12), Atom((1, 0), ">=", 0)]
-    with SmtSession(SolverConfig(incremental=False)) as one:
-        one.begin(2)
-        for f in base:
-            one.add(f)
-        m1 = one.check()
-        assert m1 is not None and evaluate(base[0], (m1["k0"], m1["k1"]))
-        one.begin(1)
-        one.add(Atom((2,), "=", 5))
-        assert one.check() is None
 
 
 def test_queries_are_counted():
