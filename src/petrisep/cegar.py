@@ -41,7 +41,7 @@ class LoopBudget:
     max_bound: Optional[int] = None  # cap for the |k(i)| search bound
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.max_seconds <= 0:
+        if self.max_iterations < 1 or not self.max_seconds > 0:  # also rejects nan
             raise ValueError("budget must be positive")
         if self.max_bound is not None and self.max_bound < 1:
             raise ValueError("bound cap must be positive")

@@ -120,7 +120,8 @@ def generate_constants(
     the complete (generally unbounded) set is returned.
     """
     k = tuple(k)
-    kd = dot(k, t.delta)
+    base, post_val = dot(k, t.pre), dot(k, t.post)
+    kd = post_val - base
 
     def finish(s: IntervalSet) -> IntervalSet:
         if window is None:
@@ -132,18 +133,15 @@ def generate_constants(
         return finish(IntervalSet.all())
 
     width = -kd
-    base = dot(k, t.pre)
-    nonneg = all(x >= 0 for x in k)
-    nonpos = all(x <= 0 for x in k)
-    if not (nonneg or nonpos):
+    kmin, kmax = min(k), max(k)  # k is not empty, since k.delta < 0
+    if kmin < 0 < kmax:
         # Sign-mixed k with a product-decreasing transition: no c works.
         return finish(IntervalSet.empty())
 
     limit = frobenius_limit(k)
     coins = sorted({abs(x) for x in k if x != 0})
 
-    if nonneg:
-        post_val = dot(k, t.post)
+    if kmin >= 0:
         result = IntervalSet.at_most(post_val)
         cand_lo, cand_hi = post_val + 1, base + limit - 1
         if window is not None:

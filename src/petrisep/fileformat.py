@@ -28,13 +28,15 @@ class NetFormatError(ValueError):
 
 
 def _parse_ints(tokens: list[str], lineno: int, what: str) -> tuple[int, ...]:
-    out = []
-    for tok in tokens:
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise NetFormatError(f"{what}: {tok!r} is not an integer", lineno)
-    return tuple(out)
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        for tok in tokens:  # name the first token int() rejects
+            try:
+                int(tok)
+            except ValueError:
+                raise NetFormatError(f"{what}: {tok!r} is not an integer", lineno)
+        raise
 
 
 def parse_instance(text: str) -> Instance:
@@ -46,7 +48,11 @@ def parse_instance(text: str) -> Instance:
     mode = Mode.REACH
     saw_mode = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Only \r\n, \r and \n end a line, as open()'s universal newlines
+    # read them; str.splitlines would also split on form feeds and Unicode
+    # line breaks, and then name the wrong line in an error.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -20,7 +20,7 @@ from .net import HalfSpace, IntVector, PetriNet, Transition, dot
 
 def is_mixed(k: Sequence[int]) -> bool:
     """True iff k has both a strictly positive and a strictly negative entry."""
-    return any(x > 0 for x in k) and any(x < 0 for x in k)
+    return min(k, default=0) < 0 < max(k, default=0)
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,29 @@ class TrivialFlags:
         return self.oriented or self.monotone or self.antitone
 
 
+def _flags(c: int, kmin: int, kmax: int, kpre: int, kpost: int) -> TrivialFlags:
+    """The trivial flags from min(k), max(k), k.pre and k.post.
+
+    kmin and kmax are 0 for an empty k, which then counts as both k >= 0
+    and k <= 0.
+    """
+    return TrivialFlags(kpost >= kpre, kmin >= 0 and kpost >= c, kmax <= 0 and kpre < c)
+
+
 def classify_trivial(k: Sequence[int], c: int, t: Transition) -> TrivialFlags:
-    kd = dot(k, t.delta)
-    oriented = kd >= 0
-    monotone = all(x >= 0 for x in k) and dot(k, t.post) >= c
-    antitone = all(x <= 0 for x in k) and dot(k, t.pre) < c
-    return TrivialFlags(oriented, monotone, antitone)
+    """The cheap conditions of TrivialFlags, from one k.pre and one k.post.
+
+    k.delta is read as k.post - k.pre, and the sign conditions k >= 0 and
+    k <= 0 as min(k) >= 0 and max(k) <= 0. Raises StructureError when k
+    and t differ in length.
+    """
+    kpre, kpost = dot(k, t.pre), dot(k, t.post)
+    return _flags(c, min(k, default=0), max(k, default=0), kpre, kpost)
+
+
+def _span(c: int, kpre: int, kpost: int) -> int:
+    """witness_bound from k.pre and k.post: the window is [c, c - k.delta)."""
+    return abs(max(kpre, c - kpost + kpre) - min(kpre, c))
 
 
 def witness_bound(k: Sequence[int], c: int, t: Transition) -> int:
@@ -59,9 +76,7 @@ def witness_bound(k: Sequence[int], c: int, t: Transition) -> int:
     it settles at most bound + 1 classes. Mixed k admits no such box and is
     decided without it.
     """
-    base = dot(k, t.pre)
-    hi = c - dot(k, t.delta)
-    return abs(max(base, hi) - min(base, c))
+    return _span(c, dot(k, t.pre), dot(k, t.post))
 
 
 def mixed_counterexample(k: Sequence[int], c: int, t: Transition) -> IntVector:
@@ -72,10 +87,15 @@ def mixed_counterexample(k: Sequence[int], c: int, t: Transition) -> IntVector:
     scalar product inside [c, c - k.delta), then repairs negative entries
     with zero-product combination vectors so the result dominates pre.
     """
-    n = len(k)
     kd = dot(k, t.delta)
     if not is_mixed(k) or kd >= 0:
         raise ValueError("construction needs mixed k and k.delta < 0")
+    return _mixed_witness(k, c, t, kd)[0]
+
+
+def _mixed_witness(k: Sequence[int], c: int, t: Transition, kd: int) -> tuple[IntVector, int]:
+    """mixed_counterexample's x and its k.(x + pre), given k.delta = kd < 0."""
+    n = len(k)
     ipos = next(i for i in range(n) if k[i] > 0)
     ineg = next(i for i in range(n) if k[i] < 0)
 
@@ -103,7 +123,7 @@ def mixed_counterexample(k: Sequence[int], c: int, t: Transition) -> IntVector:
     assert all(e >= 0 for e in x)
     s = dot(k, v)
     assert c <= s < c - kd
-    return x
+    return x, s
 
 
 @dataclass(frozen=True)
@@ -132,21 +152,22 @@ class TransitionCheck(JsonDoc):
 def check_transition(k: Sequence[int], c: int, t: Transition) -> TransitionCheck:
     """Decide t-inductivity of (k, c) exactly."""
     k = tuple(k)
-    flags = classify_trivial(k, c, t)
+    base, kpost = dot(k, t.pre), dot(k, t.post)
+    kmin, kmax = min(k, default=0), max(k, default=0)
+    flags = _flags(c, kmin, kmax, base, kpost)
     if flags.any:
         return TransitionCheck(t.name, True, flags)
 
-    kd = dot(k, t.delta)  # < 0 here, else oriented
-    if is_mixed(k):
-        x = mixed_counterexample(k, c, t)
-        return TransitionCheck(t.name, False, flags, x, dot(k, x) + dot(k, t.pre))
+    kd = kpost - base  # < 0 here, else oriented
+    if kmin < 0 < kmax:
+        x, value = _mixed_witness(k, c, t, kd)
+        return TransitionCheck(t.name, False, flags, x, value)
 
     # k unmixed and k.delta < 0: attainable products are base moved away
     # (up for k >= 0, down for k <= 0) by an offset in the numerical
     # semigroup of the coins |k(i)|. The window becomes offsets [lo, hi];
     # lo <= hi here, since the monotone and antitone flags were false.
-    base = dot(k, t.pre)
-    sign = 1 if all(x >= 0 for x in k) else -1
+    sign = 1 if kmin >= 0 else -1
     if sign > 0:
         lo, hi = max(c - base, 0), c - kd - 1 - base
     else:
@@ -227,12 +248,14 @@ def oracle_check_transition(
     witness.
     """
     k = tuple(k)
-    flags = classify_trivial(k, c, t)
-    kd = dot(k, t.delta)
+    base, kpost = dot(k, t.pre), dot(k, t.post)
+    kmin, kmax = min(k, default=0), max(k, default=0)
+    flags = _flags(c, kmin, kmax, base, kpost)
+    kd = kpost - base
     if kd >= 0:
         # Window [c, c - k.delta) is empty; nothing can violate.
         return TransitionCheck(t.name, True, flags)
-    if is_mixed(k):
+    if kmin < 0 < kmax:
         # gcd(k) divides k.delta, so the length |k.delta| window holds a
         # multiple of gcd(k), and with coefficients of both signs every
         # deep enough such multiple is a non-negative combination (push
@@ -240,14 +263,13 @@ def oracle_check_transition(
         # No witness inside a witness_bound box is guaranteed here, so
         # enumeration would be unsound; the verdict needs no witness.
         return TransitionCheck(t.name, False, flags)
-    base = dot(k, t.pre)
     lo, hi = c, c - kd
     n = len(k)
-    b = witness_bound(k, c, t)
+    b = _span(c, base, kpost)
     if (b + 1) ** n > max_points:
         raise OracleBudgetError(f"grid of {(b + 1) ** n} points exceeds budget")
 
-    up = all(v >= 0 for v in k)
+    up = kmin >= 0
 
     def short(v: int) -> bool:
         """v has not passed the window's far end."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .jsondoc import JsonDoc
@@ -21,22 +22,20 @@ class StructureError(ValueError):
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
-    """Exact scalar product of two equal-length integer vectors."""
+    """Exact scalar product of two equal-length integer vectors.
+
+    The length check comes first: `map` alone would stop at the shorter
+    vector and return the product of a prefix.
+    """
     if len(a) != len(b):
         raise StructureError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_add(a: Sequence[int], b: Sequence[int]) -> IntVector:
     if len(a) != len(b):
         raise StructureError(f"length mismatch: {len(a)} vs {len(b)}")
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence[int], b: Sequence[int]) -> IntVector:
-    if len(a) != len(b):
-        raise StructureError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_ge(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -66,11 +65,11 @@ class Transition:
                 f"transition {self.name!r}: pre/post arity mismatch "
                 f"({len(pre)} vs {len(post)})"
             )
-        if any(x < 0 for x in pre) or any(x < 0 for x in post):
+        if min(pre, default=0) < 0 or min(post, default=0) < 0:
             raise StructureError(f"transition {self.name!r}: negative flow entry")
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "post", post)
-        object.__setattr__(self, "delta", vec_sub(post, pre))
+        object.__setattr__(self, "delta", tuple(map(sub, post, pre)))
 
     def is_enabled(self, marking: Sequence[int]) -> bool:
         """True iff the marking dominates `pre` componentwise."""
@@ -194,7 +193,7 @@ def verify_separator(inst: Instance, hs: HalfSpace) -> SeparatorVerdict:
     final_outside = not hs.contains(inst.m_final)
     cover_flag = None
     if inst.mode is Mode.COVER:
-        cover_flag = all(x <= 0 for x in hs.k)
+        cover_flag = max(hs.k, default=0) <= 0
     return SeparatorVerdict(init_inside, final_outside, cover_flag)
 
 

@@ -41,6 +41,8 @@ def test_loop_budget_validation():
     with pytest.raises(ValueError):
         LoopBudget(max_seconds=0)
     with pytest.raises(ValueError):
+        LoopBudget(max_seconds=float("nan"))  # nan <= 0 is False
+    with pytest.raises(ValueError):
         LoopBudget(max_bound=0)
 
 

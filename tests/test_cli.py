@@ -234,6 +234,14 @@ def test_synthesize_cover_mode_refutes_via_cli(example_file, capsys):
     assert "no separating inductive half space" in out
 
 
+def test_synthesize_nan_time_budget_is_an_input_error(example_file, capsys):
+    code = main(["synthesize", example_file, "--max-seconds", "nan"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "input error: budget must be positive" in captured.err
+    assert "outcome" not in captured.out
+
+
 def test_synthesize_solver_that_dies_exits_4(example_file, tmp_path, capsys):
     # a solver that exits mid-query, and one that never echoes the sync marker
     for name, fake_args, timeout, error in (

@@ -71,6 +71,22 @@ def test_error_carries_line_number():
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_universal_newlines_end_a_line(brk):
+    # str.splitlines would split on brk too and report line 3.
+    text = f"places p1{brk}\ntransition t pre 1 post x\ninit 1\ntarget 0\n"
+    with pytest.raises(NetFormatError) as exc:
+        parse_instance(text)
+    assert exc.value.line == 2
+    for eol in ("\r\n", "\r"):
+        with pytest.raises(NetFormatError) as exc:
+            parse_instance(text.replace("\n", eol))
+        assert exc.value.line == 2, eol
+    # Inside a line such a character only separates tokens.
+    inst = parse_instance(f"places p1{brk}p2\ninit 1 2\ntarget 0{brk}0\n")
+    assert inst.net.places == ("p1", "p2") and inst.m_final == (0, 0)
+
+
 def test_unknown_directive_rejected():
     with pytest.raises(NetFormatError):
         parse_instance("places p\nfoo bar\ninit 0\ntarget 0\n")

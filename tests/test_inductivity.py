@@ -10,12 +10,14 @@ from petrisep import (
     HalfSpace,
     NetCheck,
     OracleBudgetError,
+    StructureError,
     TransitionCheck,
     Transition,
     check_net,
     check_transition,
     classify_trivial,
     dot,
+    generate_constants,
     is_mixed,
     mixed_counterexample,
     oracle_check_transition,
@@ -170,6 +172,61 @@ def test_witness_bound_caps_the_search_for_unmixed_k():
         assert r.sums_explored <= witness_bound(k, c, t) + 1
         if r.witness is not None:
             assert all(e <= witness_bound(k, c, t) for e in r.witness)
+
+
+@pytest.mark.parametrize("k", [(3, -2), (3, -2, 1, -1)], ids=["shorter", "longer"])
+def test_arity_mismatch_raises_instead_of_truncating(k):
+    # k mixed with k.delta < 0 on a prefix, so no check passes by accident.
+    t = Transition("t", (1, 0, 0), (0, 1, 0))
+    calls = [
+        lambda: check_transition(k, 0, t),
+        lambda: oracle_check_transition(k, 0, t),
+        lambda: classify_trivial(k, 0, t),
+        lambda: witness_bound(k, 0, t),
+        lambda: generate_constants(k, t),
+        lambda: generate_constants(k, t, window=(-5, 5)),
+        lambda: mixed_counterexample(k, 0, t),
+    ]
+    for call in calls:
+        with pytest.raises(StructureError):
+            call()
+
+
+def test_trivial_flags_and_witness_bound_match_their_definitions():
+    rng = random.Random(4242)
+    cases = 0
+    for i in range(2400):
+        n = 1 if i % 4 == 0 else rng.randint(1, 4)
+        if i % 50 == 0:
+            k = (0,) * n
+        else:
+            sign = rng.choice((1, -1, 0))  # 0: entries of both signs
+            k = tuple(
+                (sign or rng.choice((1, -1))) * rng.randint(0, 7) for _ in range(n)
+            )
+        t = random_transition(rng, n, max_flow=rng.choice((1, 4, 9)))
+        kpre = sum(a * b for a, b in zip(k, t.pre))
+        kpost = sum(a * b for a, b in zip(k, t.post))
+        kdelta = sum(a * b for a, b in zip(k, t.delta))
+        c = kpre + rng.randint(-40, 40)
+        if i % 10 == 0:
+            c = rng.choice((1, -1)) * rng.randint(10**6, 10**18)
+        nonneg = all(x >= 0 for x in k)
+        nonpos = all(x <= 0 for x in k)
+        flags = classify_trivial(k, c, t)
+        assert flags.oriented == (kdelta >= 0), (k, c, t)
+        assert flags.monotone == (nonneg and kpost >= c), (k, c, t)
+        assert flags.antitone == (nonpos and kpre < c), (k, c, t)
+        assert check_transition(k, c, t).flags == flags
+        try:
+            assert oracle_check_transition(k, c, t, max_points=1000).flags == flags
+        except OracleBudgetError:
+            pass  # c far from the window: the grid is out of budget
+        # the window [c, c - k.delta) and the start k.pre, spanned
+        lo, hi = min(kpre, c), max(kpre, c - kdelta)
+        assert witness_bound(k, c, t) == hi - lo, (k, c, t)
+        cases += 1
+    assert cases >= 2000
 
 
 def test_oracle_budget_is_enforced():
