@@ -46,11 +46,10 @@ EXIT_INPUT = 3
 EXIT_SOLVER = 4
 
 
-def _parse_vector(parts) -> tuple[int, ...]:
-    # Accepts one comma-separated string or already-split tokens, so both
-    # --k=3,2 and --k -4 -3 work (argparse rejects -4,-3 as an option).
-    if isinstance(parts, str):
-        parts = [parts]
+def _parse_vector(parts: Sequence[str]) -> tuple[int, ...]:
+    # The tokens of an nargs="+" option, each holding one or more
+    # comma-separated integers, so both --k 3,2 and --k -4 -3 work
+    # (argparse takes -4,-3 for an option).
     text = " ".join(parts)
     try:
         return tuple(int(tok) for tok in text.replace(",", " ").split())
@@ -156,10 +155,13 @@ def cmd_check(args) -> int:
     print(f"k = {hs.k}, c = {hs.c}, mode = {inst.mode.value}")
     _print_transition_lines(report.inductivity.per_transition)
     _print_separation(inst, hs)
-    for name, verdict in report.oracle:
+    # certify lists the oracle and the checker in the net's transition order
+    for (name, verdict), exact in zip(
+        report.oracle, report.inductivity.per_transition, strict=True
+    ):
         if verdict is None:
             continue
-        agree = "agrees" if verdict == _ica_verdict(report, name) else "DISAGREES"
+        agree = "agrees" if verdict == exact.inductive else "DISAGREES"
         print(f"oracle {name}: {'inductive' if verdict else 'not inductive'} ({agree})")
     ok = report.ok
     print(f"verdict: {'certificate holds' if ok else 'certificate FAILS'}")
@@ -168,13 +170,6 @@ def cmd_check(args) -> int:
     doc = {"halfspace": hs.to_json(), "report": report.to_json()}
     _write_json(args.json, doc)
     return EXIT_OK if ok else EXIT_NEGATIVE
-
-
-def _ica_verdict(report, name: str) -> bool:
-    for r in report.inductivity.per_transition:
-        if r.transition == name:
-            return r.inductive
-    raise KeyError(name)
 
 
 def cmd_constants(args) -> int:

@@ -131,7 +131,15 @@ def parse_instance(text: str) -> Instance:
 
 
 def format_instance(inst: Instance) -> str:
-    """Serialize an instance; parse_instance(format_instance(i)) == i."""
+    """Serialize an instance; parse_instance(format_instance(i)) == i.
+
+    Raises ValueError for the first place or transition name that is not
+    one whitespace-free token, which the format could not read back.
+    """
+    names = (*inst.net.places, *(t.name for t in inst.net.transitions))
+    bad = next((name for name in names if name.split() != [name]), None)
+    if bad is not None:
+        raise ValueError(f"name {bad!r} is not one token; the net file format cannot hold it")
     lines = ["places " + " ".join(inst.net.places)]
     for t in inst.net.transitions:
         lines.append(

@@ -7,20 +7,25 @@ command must accept push, pop, echo, reset and get-value. Without
 either, SmtSession decides the same Formula objects with the built-in
 exact integer backend (`exact.py`), so synthesis never needs a binary.
 An external solver's timeout or 'unknown' is raised at once; there is
-no retry. Every model, from either backend, is re-evaluated locally with
-exact integer arithmetic before being accepted, so a misbehaving or
-misparsed solver can never smuggle in a bad vector.
+no retry. One thread reads the child's stderr together with its stdout,
+and a SolverProcessError ends with their last lines. Every model, from
+either backend, is re-evaluated locally with exact integer arithmetic
+before being accepted, so a misbehaving or misparsed solver can never
+smuggle in a bad vector.
 """
 
 from __future__ import annotations
 
+import contextlib
 import queue
+import re
 import shutil
 import subprocess
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 from .formula import Formula, evaluate, to_smt
@@ -57,8 +62,10 @@ class SolverConfig:
     minimize: bool = True  # shrink the |k| sum of each model before use
 
     def __post_init__(self):
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout must be positive")
+        # The pipe's queue.get cannot wait past threading.TIMEOUT_MAX
+        # seconds; nan fails the chained comparison too.
+        if not 0 < self.timeout_ms <= threading.TIMEOUT_MAX * 1000:
+            raise ValueError(f"timeout must be in (0, {threading.TIMEOUT_MAX * 1000:.0f}] ms")
         if self.command is not None:
             self.command = tuple(self.command)
 
@@ -84,105 +91,28 @@ def discover_solver() -> tuple[str, ...]:
     raise SolverNotFoundError("no external SMT solver available: put z3 on PATH")
 
 
-# -- s-expression parsing ---------------------------------------------
+# -- get-value answers ---------------------------------------------------
 
-
-def tokenize_sexpr(text: str) -> list[str]:
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            out.append(ch)
-            i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n:
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        j += 2
-                        continue
-                    break
-                j += 1
-            out.append(text[i : j + 1])
-            i = j + 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in '()"':
-            j += 1
-        out.append(text[i:j])
-        i = j
-    return out
-
-
-def parse_sexprs(text: str) -> list:
-    toks = tokenize_sexpr(text)
-    pos = 0
-
-    def one():
-        nonlocal pos
-        tok = toks[pos]
-        pos += 1
-        if tok == "(":
-            items = []
-            while pos < len(toks) and toks[pos] != ")":
-                items.append(one())
-            if pos >= len(toks):
-                raise SolverParseError(f"unbalanced s-expression in {text!r}")
-            pos += 1
-            return items
-        if tok == ")":
-            raise SolverParseError(f"unexpected ')' in {text!r}")
-        return tok
-
-    out = []
-    while pos < len(toks):
-        out.append(one())
-    return out
-
-
-def _sexpr_int(x) -> int:
-    if isinstance(x, str):
-        try:
-            return int(x)
-        except ValueError:
-            raise SolverParseError(f"expected an integer, got {x!r}")
-    if isinstance(x, list) and len(x) == 2 and x[0] == "-":
-        return -_sexpr_int(x[1])
-    raise SolverParseError(f"expected an integer, got {x!r}")
+# One (name value) pair of a get-value answer; the value is an integer
+# literal or its negation (- n), across any whitespace.
+_PAIR = re.compile(r"\(\s*([^\s()]+)\s+(?:(-?\d+)|\(\s*-\s+(\d+)\s*\))\s*\)")
 
 
 def parse_model(text: str, names: Sequence[str]) -> dict[str, int]:
     """Extract variable values from get-value output like ((k0 5) (k1 (- 3)))."""
-    values: dict[str, int] = {}
-    for expr in parse_sexprs(text):
-        if not isinstance(expr, list):
-            continue
-        for pair in expr:
-            if isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str):
-                values[pair[0]] = _sexpr_int(pair[1])
+    depths = list(accumulate((ch == "(") - (ch == ")") for ch in text)) or [0]
+    if min(depths) < 0 or depths[-1] != 0:
+        raise SolverParseError(f"unbalanced parentheses in {text!r}")
+    values = {m[1]: int(m[2]) if m[2] else -int(m[3]) for m in _PAIR.finditer(text)}
     missing = [n for n in names if n not in values]
     if missing:
-        raise SolverParseError(f"model output lacked values for {missing}: {text!r}")
+        raise SolverParseError(f"model output lacked integer values for {missing}: {text!r}")
     return {n: values[n] for n in names}
 
 
 # -- session ------------------------------------------------------------
 
 _EOF = object()
-
-
-def _close_stdin(proc: subprocess.Popen) -> None:
-    """Close the pipe to an exited child; a broken pipe on flush is moot."""
-    try:
-        proc.stdin.close()
-    except OSError:
-        pass
 
 
 class SmtSession:
@@ -203,7 +133,7 @@ class SmtSession:
         self.queries = 0
         self._proc: Optional[subprocess.Popen] = None
         self._lines: Optional[queue.Queue] = None
-        self._stderr_tail: deque = deque(maxlen=50)
+        self._tail: deque = deque(maxlen=50)
         self._names: list[str] = []
         self._aux: list[str] = []
         self._base: list[Formula] = []
@@ -230,20 +160,14 @@ class SmtSession:
 
     def close(self) -> None:
         proc = self._proc
-        self._proc = None
         if proc is None:
             return
-        try:
+        with contextlib.suppress(OSError, ValueError):
             proc.stdin.write("(exit)\n")
             proc.stdin.flush()
-        except (OSError, ValueError):
-            pass
-        try:
+        with contextlib.suppress(subprocess.TimeoutExpired):
             proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-        _close_stdin(proc)
+        self._kill()
 
     def __enter__(self) -> "SmtSession":
         return self
@@ -355,38 +279,37 @@ class SmtSession:
                 self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
                 text=True,
             )
         except OSError as exc:
             raise SolverProcessError(f"cannot start solver {self.command}: {exc}")
         self._lines = queue.Queue()
-        self._stderr_tail = deque(maxlen=50)
+        self._tail = deque(maxlen=50)
         threading.Thread(
-            target=self._drain, args=(self._proc.stdout, self._lines), daemon=True
-        ).start()
-        threading.Thread(
-            target=self._drain_err, args=(self._proc.stderr,), daemon=True
+            target=self._drain, args=(self._proc.stdout, self._lines, self._tail), daemon=True
         ).start()
 
-    def _drain(self, stream, sink: queue.Queue) -> None:
+    @staticmethod
+    def _drain(stream, sink: queue.Queue, tail: deque) -> None:
+        # stderr shares the pipe, so at EOF the tail holds the child's last words
         with stream:
             for line in stream:
-                sink.put(line.rstrip("\n"))
+                line = line.rstrip("\n")
+                tail.append(line)
+                sink.put(line)
         sink.put(_EOF)
 
-    def _drain_err(self, stream) -> None:
-        with stream:
-            for line in stream:
-                self._stderr_tail.append(line.rstrip("\n"))
-
     def _kill(self) -> None:
+        """Kill and reap the child, then close its stdin; the one place that ends it."""
         proc = self._proc
         self._proc = None
-        if proc is not None:
-            proc.kill()
-            proc.wait()
-            _close_stdin(proc)
+        if proc is None:
+            return
+        proc.kill()
+        proc.wait()
+        with contextlib.suppress(OSError):  # a broken pipe on flush is moot now
+            proc.stdin.close()
 
     def _send(self, text: str) -> None:
         if self._proc is None:
@@ -395,9 +318,8 @@ class SmtSession:
             self._proc.stdin.write(text + "\n")
             self._proc.stdin.flush()
         except (OSError, ValueError) as exc:
-            err = "\n".join(self._stderr_tail)
             self._kill()
-            raise SolverProcessError(f"solver pipe closed: {exc}\n{err}")
+            raise SolverProcessError(f"solver pipe closed: {exc}\n" + "\n".join(self._tail))
 
     def _exchange(self, cmd: str) -> list[str]:
         """Send cmd, read output lines until the sync marker comes back."""
@@ -413,9 +335,8 @@ class SmtSession:
                 self._kill()
                 raise SolverTimeoutError(f"no answer within {self.cfg.timeout_ms} ms")
             if line is _EOF:
-                err = "\n".join(self._stderr_tail)
                 self._kill()
-                raise SolverProcessError(f"solver exited unexpectedly\n{err}")
+                raise SolverProcessError("solver exited unexpectedly\n" + "\n".join(self._tail))
             line = line.strip()
             if line == mark:
                 return lines

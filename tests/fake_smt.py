@@ -6,6 +6,7 @@ stack of caps asserted as (<= (+ abs_k0 ...) N); (check-sat) answers from a
 fixed model list, the first model whose |k| sum is within every cap, else
 unsat; (get-value (k0 ...)) prints that model. Everything else is ignored,
 and so is (echo "X") under --no-echo, like a solver that cannot echo.
+Under --on-check exit it writes one line to stderr, then exits.
 
     python fake_smt.py --models 6,4 3,2 --log PATH [--on-check unknown|hang|exit]
                        [--no-echo]
@@ -61,6 +62,7 @@ def main() -> None:
         elif cmd == "(check-sat)":
             log("check-sat")
             if args.on_check == "exit":
+                sys.stderr.write("fake_smt: exiting mid-query\n")
                 return
             if args.on_check == "hang":
                 time.sleep(60)

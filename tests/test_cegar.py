@@ -148,6 +148,19 @@ def test_budget_exhaustion_is_reported():
     assert result.halfspace is None
 
 
+def test_bound_cap_ends_the_search_as_exhausted():
+    # nontrivial_net(3)'s least certificate, (-3, -3, -2), needs |k(i)| = 3
+    inst = nontrivial_net(3)
+    capped = synthesize(inst, budget=LoopBudget(max_bound=2))
+    assert capped.outcome is Outcome.EXHAUSTED
+    assert capped.stats.final_bound == 2
+    assert capped.halfspace is None
+    found = synthesize(inst, budget=LoopBudget(max_bound=3))
+    assert found.outcome is Outcome.FOUND
+    assert max(map(abs, found.halfspace.k)) <= 3
+    assert certify(inst, found.halfspace).ok
+
+
 def test_minimize_toggle_does_not_change_verdicts(two_place):
     for cfg in (SolverConfig(), SolverConfig(minimize=False)):
         result = synthesize(two_place, cfg)

@@ -60,6 +60,18 @@ def test_check_json_output(example_file, capsys):
     assert doc["report"]["ok"] is False
 
 
+def test_json_to_a_file_is_the_stdout_document(example_file, tmp_path, capsys):
+    for argv in (["check", "--k", "3,2", "--c", "8"], ["constants", "--k", "3,2"]):
+        path = tmp_path / f"{argv[0]}.json"
+        code = main([argv[0], example_file, *argv[1:], "--json", str(path)])
+        report = capsys.readouterr()
+        assert main([argv[0], example_file, *argv[1:], "--json", "-"]) == code
+        captured = capsys.readouterr()
+        assert path.read_text() == captured.out
+        # with a file, the report lines stay on stdout
+        assert report.out == captured.err and report.err == ""
+
+
 def test_check_skip_oracle_calls_no_oracle(example_file, capsys):
     argv = ["check", example_file, "--k", "3,2", "--c", "9", "--skip-oracle"]
     code = main(argv + ["--json", "-"])
@@ -240,6 +252,33 @@ def test_synthesize_nan_time_budget_is_an_input_error(example_file, capsys):
     assert code == 3
     assert "input error: budget must be positive" in captured.err
     assert "outcome" not in captured.out
+
+
+def test_synthesize_bound_cap_is_inconclusive(tmp_path, capsys):
+    path = tmp_path / "family.net"
+    path.write_text(format_instance(nontrivial_net(3)))
+    assert main(["synthesize", str(path), "--max-bound", "2"]) == 2
+    out = capsys.readouterr().out
+    assert "outcome: exhausted" in out
+    assert "search budget exhausted without a verdict" in out
+
+
+def test_synthesize_unwaitable_timeout_is_an_input_error(example_file, tmp_path, capsys):
+    # more seconds than threading.TIMEOUT_MAX: queue.get could not wait that long
+    log = tmp_path / "fake.log"
+    solver = shlex.join(fake_smt_command(log))
+    code = main(["synthesize", example_file, "--solver", solver, "--timeout-ms", "1" + "0" * 21])
+    assert code == 3
+    assert "input error: timeout" in capsys.readouterr().err
+    assert not log.exists()  # rejected before any solver starts
+
+
+def test_synthesize_solver_error_shows_its_stderr(example_file, tmp_path, capsys):
+    solver = shlex.join(fake_smt_command(tmp_path / "exit.log", "--on-check", "exit"))
+    assert main(["synthesize", example_file, "--solver", solver]) == 4
+    err = capsys.readouterr().err
+    assert "solver error: solver exited unexpectedly\n" in err
+    assert "fake_smt: exiting mid-query" in err
 
 
 def test_synthesize_solver_that_dies_exits_4(example_file, tmp_path, capsys):

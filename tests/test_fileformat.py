@@ -2,7 +2,16 @@
 
 import pytest
 
-from petrisep import Mode, NetFormatError, format_instance, load_instance, parse_instance
+from petrisep import (
+    Instance,
+    Mode,
+    NetFormatError,
+    PetriNet,
+    Transition,
+    format_instance,
+    load_instance,
+    parse_instance,
+)
 
 from conftest import two_place_instance
 
@@ -55,6 +64,23 @@ def test_comments_and_blank_lines_are_ignored():
         ("places p\ninit -1\ntarget 0\n", "negative"),
         ("places p\ninit 0\n", "target"),
         ("places p\ntransition t pre x post 1\ninit 0\ntarget 0\n", "integer"),
+        # "line N: " pins the line an error names; a missing directive has none
+        ("places p\nplaces q\ninit 0\ntarget 0\n", "line 2: duplicate places"),
+        ("places\ninit 0\ntarget 0\n", "line 1: places directive needs"),
+        (
+            "places p\ntransition t pre 0 post 1\ntransition t pre 1 post 0\ninit 0\n",
+            "line 3: duplicate transition name 't'",
+        ),
+        (
+            "places p\ntransition t pre -1 post 0\ninit 0\ntarget 0\n",
+            "line 2: transition 't': negative flow",
+        ),
+        ("init 0\nplaces p\ntarget 0\n", "line 1: init before places"),
+        ("places p\ninit 0\ninit 1\ntarget 0\n", "line 3: duplicate init"),
+        ("places p\ntarget 0\ninit 0\n\ntarget 1\n", "line 5: duplicate target"),
+        ("places p\nmode cover\ninit 0\ntarget 0\nmode cover\n", "line 5: duplicate mode"),
+        ("# no places\nmode cover\n", "missing places directive"),
+        ("places p\ntarget 0\n", "missing init directive"),
     ],
 )
 def test_malformed_inputs_are_rejected(text, fragment):
@@ -85,6 +111,21 @@ def test_only_universal_newlines_end_a_line(brk):
     # Inside a line such a character only separates tokens.
     inst = parse_instance(f"places p1{brk}p2\ninit 1 2\ntarget 0{brk}0\n")
     assert inst.net.places == ("p1", "p2") and inst.m_final == (0, 0)
+
+
+@pytest.mark.parametrize("bad", ["a b", "", " p", "p\n", "p\x0cq", "p\u2028"])
+def test_format_instance_refuses_a_name_it_cannot_write(bad):
+    # the model types accept any name; only the writer needs single tokens
+    good = Transition("t", (1, 0), (0, 1))
+    for places, t in (((bad, "q"), good), (("p", "q"), Transition(bad, (1, 0), (0, 1)))):
+        inst = Instance(PetriNet(places, (t,)), (1, 0), (0, 1), Mode.REACH)
+        with pytest.raises(ValueError) as exc:
+            format_instance(inst)
+        assert str(exc.value).startswith(f"name {bad!r} is not one token")
+    # the first offending name is the one reported, places before transitions
+    net = PetriNet(("p", "q r", "s t"), (Transition("u v", (1, 0, 0), (0, 1, 0)),))
+    with pytest.raises(ValueError, match="name 'q r'"):
+        format_instance(Instance(net, (1, 0, 0), (0, 1, 0), Mode.REACH))
 
 
 def test_unknown_directive_rejected():

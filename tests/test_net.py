@@ -54,6 +54,12 @@ def test_net_rejects_duplicates():
         PetriNet(("p",), (t, t))
 
 
+def test_net_rejects_a_transition_of_the_wrong_arity():
+    for t in (Transition("t", (1,), (0,)), Transition("t", (1, 0, 0), (0, 0, 1))):
+        with pytest.raises(StructureError, match=r"transition 't' arity \d != 2 places"):
+            PetriNet(("p", "q"), (t,))
+
+
 def test_halfspace_contains_and_json():
     hs = HalfSpace((3, 2), 9)
     assert hs.contains((3, 1))
@@ -79,6 +85,10 @@ def test_verify_separator_running_example():
     off = verify_separator(inst, HalfSpace((3, 2), 12))
     assert not off.init_inside and not off.ok
     assert any("initial" in f for f in off.failures())
+
+    for k in ((3,), (3, 2, 1)):
+        with pytest.raises(StructureError, match="arity"):
+            verify_separator(inst, HalfSpace(k, 9))
 
 
 def test_verify_separator_cover_sign():

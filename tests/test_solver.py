@@ -20,12 +20,11 @@ from petrisep.solver import (
     SolverError,
     SolverNotFoundError,
     SolverParseError,
+    SolverProcessError,
     SolverTimeoutError,
     SolverUnknownError,
     discover_solver,
     parse_model,
-    parse_sexprs,
-    tokenize_sexpr,
 )
 
 from conftest import fake_smt_command
@@ -33,20 +32,31 @@ from conftest import fake_smt_command
 # -- offline helpers ----------------------------------------------------
 
 
-def test_tokenize_sexpr():
-    assert tokenize_sexpr("(a (b -3))") == ["(", "a", "(", "b", "-3", ")", ")"]
-    assert tokenize_sexpr('(echo "hi (there)")') == ["(", "echo", '"hi (there)"', ")"]
-    assert tokenize_sexpr("") == []
-
-
-def test_parse_sexprs():
-    assert parse_sexprs("(a (b c) 3)") == [["a", ["b", "c"], "3"]]
-    assert parse_sexprs("x (y)") == ["x", ["y"]]
-
-
 def test_parse_model_reads_values_and_negatives():
     text = "((k0 3) (k1 (- 2)))"
     assert parse_model(text, ["k0", "k1"]) == {"k0": 3, "k1": -2}
+    # one pair per line, as z3 prints long answers, and loose spacing
+    text = "((k0 3)\n (k1 (-  2))\n (k2 0))"
+    assert parse_model(text, ["k0", "k1", "k2"]) == {"k0": 3, "k1": -2, "k2": 0}
+    assert parse_model("(  ( k1\n(-\t7 ) )( k0 12 ))", ["k0", "k1"]) == {"k0": 12, "k1": -7}
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("((k0 3) (k1 2)", "unbalanced"),
+        ("((k0 3) (k1 2)))", "unbalanced"),
+        (")(k0 3) (k1 2)(", "unbalanced"),
+        ("((k0 3) (k1 (/ 1 2)))", r"values for \['k1'\]"),
+        ("((k0 abc) (k1 2))", r"values for \['k0'\]"),
+        ("((k0 3 4) (k1 2))", r"values for \['k0'\]"),
+        ("((k0 3))", r"values for \['k1'\]"),
+        ("", r"values for \['k0', 'k1'\]"),
+    ],
+)
+def test_parse_model_rejects_what_it_cannot_read(text, message):
+    with pytest.raises(SolverParseError, match=message):
+        parse_model(text, ["k0", "k1"])
 
 
 def test_discovery_finds_native_z3_or_leaves_the_builtin_backend(monkeypatch):
@@ -66,8 +76,11 @@ def test_discovery_finds_native_z3_or_leaves_the_builtin_backend(monkeypatch):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(timeout_ms=0)
+    # the pipe waits in queue.get, which cannot wait past TIMEOUT_MAX seconds
+    for timeout_ms in (0, -1, float("nan"), float("inf"), 10**21):
+        with pytest.raises(ValueError, match="timeout"):
+            SolverConfig(timeout_ms=timeout_ms)
+    assert SolverConfig(timeout_ms=1).timeout_ms == 1
 
 
 # -- the external pipe, against a scripted solver --------------------------
@@ -104,6 +117,13 @@ def test_external_unknown_and_timeout_raise_after_one_spawn(tmp_path):
         with pytest.raises(SolverTimeoutError):
             fake_check(log, *fake_args, timeout_ms=500)
         assert log.read_text().split().count("spawn") == 1, name
+
+
+def test_external_solver_exit_reports_its_last_stderr_line(tmp_path):
+    # stderr shares the reader's pipe, so the line arrives before the EOF
+    with pytest.raises(SolverProcessError, match="exiting mid-query") as exc:
+        fake_check(tmp_path / "exit.log", "--on-check", "exit")
+    assert str(exc.value).startswith("solver exited unexpectedly\n")
 
 
 def test_external_model_failing_reevaluation_is_refused(tmp_path):
