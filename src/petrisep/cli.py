@@ -211,7 +211,7 @@ def cmd_constants(args) -> int:
         "cover_ok": report.cover_ok,
     }
     _write_json(args.json, doc)
-    return EXIT_OK
+    return EXIT_NEGATIVE if report.chosen is None else EXIT_OK
 
 
 def cmd_oracle(args) -> int:

@@ -2,16 +2,15 @@
 
 SmtSession uses this when no external SMT solver is configured and no
 native z3 is on PATH, so synthesis runs with nothing but Python. Formulas
-are linear atoms over k under conjunction, disjunction and negation, so
-the only integer unknowns are the k(i) themselves. It answers with an
-integer model (the one of least sum |k(i)| when asked to minimize), with
-None only when every branch of the search has been refuted exactly, and
-raises SolverUnknownError when the search had to give up somewhere.
+are linear atoms over k under conjunction and disjunction, so the only
+integer unknowns are the k(i) themselves. It answers with an integer model
+(the one of least sum |k(i)| when asked to minimize), with None only when
+every branch of the search has been refuted exactly, and raises
+SolverUnknownError when the search had to give up somewhere.
 
-- The formulas are put in negation normal form over literals a.x >= b:
-  integer coefficients divided by their gcd, strict and negated relations
-  tightened to integers (a.x > b is a.x >= b + 1, not (a.x = b) is a
-  disjunction of two such literals).
+- Every atom becomes literals a.x >= b: integer coefficients divided by
+  their gcd, strict relations tightened to integers (a.x > b is
+  a.x >= b + 1), an equality the conjunction of two such literals.
 - Literals go into a bounded simplex in the style of Dutertre & de Moura
   ("A Fast Linear-Arithmetic Solver for DPLL(T)", CAV 2006), kept
   fraction-free: each row is an integer vector over the nonbasic unknowns
@@ -41,15 +40,13 @@ import time
 from operator import mul
 from typing import Optional, Sequence
 
-from .formula import Atom, Conj, Disj, Formula, Neg, evaluate
+from .formula import Atom, Conj, Disj, Formula
 from .solver import SolverTimeoutError, SolverUnknownError
 
 # Nested integer branches on one search path. Deeper paths are abandoned,
 # which turns a would-be unsat answer into SolverUnknownError; only a search
 # in an unbounded region can get near this.
 MAX_BRANCH_DEPTH = 200
-
-_NEGATED = {">=": "<", ">": "<=", "<=": ">", "<": ">=", "=": "!="}
 
 
 class _Lit:
@@ -101,22 +98,21 @@ FALSE = _Or(())
 
 
 class _Normalizer:
-    """Negation normal form, with equal literals and disjunctions shared."""
+    """Literals and connectives, with equal literals and disjunctions shared."""
 
     def __init__(self):
         self._lits: dict = {}
         self._ors: dict = {}
         self._negated: dict = {}
 
-    def convert(self, f: Formula, positive: bool = True):
+    def convert(self, f: Formula):
         if isinstance(f, Atom):
             terms = tuple((i, c) for i, c in enumerate(f.coeffs) if c)
-            return self._relation(terms, f.rel if positive else _NEGATED[f.rel], f.rhs)
-        if isinstance(f, Neg):
-            return self.convert(f.inner, not positive)
-        if isinstance(f, (Conj, Disj)):
-            parts = [self.convert(p, positive) for p in f.parts]
-            return self.conj(parts) if isinstance(f, Conj) == positive else self.disj(parts)
+            return self._relation(terms, f.rel, f.rhs)
+        if isinstance(f, Conj):
+            return self.conj([self.convert(p) for p in f.parts])
+        if isinstance(f, Disj):
+            return self.disj([self.convert(p) for p in f.parts])
         raise TypeError(f"not a formula: {f!r}")
 
     def _relation(self, terms: tuple, rel: str, rhs: int):
@@ -129,9 +125,7 @@ class _Normalizer:
             return self._lit(neg, -rhs)
         if rel == "<":
             return self._lit(neg, 1 - rhs)
-        if rel == "=":
-            return self.conj((self._lit(terms, rhs), self._lit(neg, -rhs)))
-        return self.disj((self._lit(terms, rhs + 1), self._lit(neg, 1 - rhs)))
+        return self.conj((self._lit(terms, rhs), self._lit(neg, -rhs)))
 
     def _lit(self, terms: tuple, lo: int):
         if not terms:
@@ -424,7 +418,6 @@ class _Found(Exception):
 
 class _Search:
     def __init__(self, formulas, nk: int, minimize: bool, deadline: float):
-        self.formulas = formulas
         self.nk = nk
         self.minimize = minimize
         self.deadline = deadline
@@ -456,8 +449,6 @@ class _Search:
                 self._node(pending, 0)
             except _Found:
                 pass
-            except RecursionError:
-                raise SolverUnknownError("built-in backend: formula nests too deeply")
         if self.best is None and self.gave_up:
             raise SolverUnknownError(
                 f"built-in backend gave up below {MAX_BRANCH_DEPTH} integer branches"
@@ -528,9 +519,7 @@ class _Search:
             # A rational model: its integer multiple may already be one.
             g = math.gcd(den, *nums)
             k = [x // g for x in nums]
-            if (self.best is None or sum(map(abs, k)) < self.best_sum) and all(
-                evaluate(f, k) for f in self.formulas
-            ):
+            if (self.best is None or sum(map(abs, k)) < self.best_sum) and self.root.holds(k, 1):
                 self._offer(k)
                 continue
             if not self._equalities_integral():
@@ -559,4 +548,7 @@ def solve(
     Raises SolverTimeoutError past the monotonic-clock deadline and
     SolverUnknownError when no model was found and the search was incomplete.
     """
-    return _Search(list(formulas), nvars, minimize, deadline).run()
+    try:
+        return _Search(formulas, nvars, minimize, deadline).run()
+    except RecursionError:
+        raise SolverUnknownError("built-in backend: formula nests too deeply")

@@ -6,7 +6,8 @@ separating for the instance satisfies it, but a k that satisfies it may
 admit no such c. Synthesis and the no-separator verdict rely on this
 direction only; each candidate is then checked exactly. Atoms keep
 concrete integer coefficients so formulas can be both evaluated locally
-(exact arithmetic) and emitted as SMT-LIB2.
+(exact arithmetic) and emitted as SMT-LIB2. There is no negation: every
+formula is atoms under conjunction and disjunction (negation normal form).
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache
+from math import gcd
 from operator import mul, sub
 from typing import NamedTuple, Sequence, Union
 
 from .net import Instance, IntVector, Mode, Transition
 
-Formula = Union["Atom", "Conj", "Disj", "Neg"]
+Formula = Union["Atom", "Conj", "Disj"]
 
 _RELS = {
     ">=": operator.ge,
@@ -61,11 +63,6 @@ class Disj:
         object.__setattr__(self, "parts", tuple(self.parts))
 
 
-@dataclass(frozen=True)
-class Neg:
-    inner: Formula
-
-
 def evaluate(f: Formula, k: Sequence[int]) -> bool:
     """Evaluate under the assignment k with exact integer arithmetic."""
     kind = type(f)
@@ -81,8 +78,6 @@ def evaluate(f: Formula, k: Sequence[int]) -> bool:
             if evaluate(p, k):
                 return True
         return False
-    if kind is Neg:
-        return not evaluate(f.inner, k)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -188,36 +183,36 @@ def bound_constraint(n: int, bound: int) -> Conj:
     return Conj(tuple(parts))
 
 
-def exclude_multiples(k_hat: Sequence[int]) -> Neg:
+def exclude_multiples(k_hat: Sequence[int]) -> Disj:
     """Forbid every positive integer multiple of the primitive vector k_hat.
 
     An integer k is such a multiple iff all cross products with the pivot
-    match (collinearity) and the pivot entry has the strict sign of
-    k_hat's: collinearity makes k a rational multiple a * k_hat, and since
-    k_hat is primitive an integer k forces a to be an integer, which the
-    sign makes positive. The negation of that conjunction is the
-    refinement added after a failed candidate. Every atom is homogeneous,
-    so the refined formula keeps the scaling property of separator_formula.
+    p match (collinearity) and k(p) has the strict sign of k_hat(p):
+    collinearity makes k a rational multiple a * k_hat, and since k_hat is
+    primitive an integer k forces a to be an integer, which the sign makes
+    positive. The refinement added after a failed candidate negates that,
+    as one disjunction: a cross product off zero, or k(p) zero or of the
+    other sign. Every atom is homogeneous, so the refined formula keeps the
+    scaling property of separator_formula.
     """
     k_hat = tuple(k_hat)
     n = len(k_hat)
     if all(x == 0 for x in k_hat):
         raise ValueError("cannot exclude multiples of the zero vector")
-    from math import gcd
-
     if gcd(*k_hat) != 1:
         raise ValueError("exclusion requires a primitive vector")
     p = next(i for i in range(n) if k_hat[i] != 0)
-    parts: list[Formula] = []
+    parts = []
     for i in range(n):
         if i == p:
             continue
         coeffs = [0] * n
         coeffs[i] = k_hat[p]
         coeffs[p] = -k_hat[i]
-        parts.append(Atom(tuple(coeffs), "=", 0))  # k_hat(p) k(i) = k_hat(i) k(p)
-    parts.append(Atom(_unit(n, p), ">" if k_hat[p] > 0 else "<", 0))
-    return Neg(Conj(tuple(parts)))
+        c_i = tuple(coeffs)  # k_hat(p) k(i) != k_hat(i) k(p)
+        parts += (Atom(c_i, ">", 0), Atom(c_i, "<", 0))
+    parts.append(Atom(_unit(n, p), "<=" if k_hat[p] > 0 else ">=", 0))
+    return Disj(tuple(parts))
 
 
 def is_multiple_of(k: Sequence[int], k_hat: Sequence[int]) -> bool:
@@ -257,8 +252,7 @@ def _smt_linear(coeffs: Sequence[int], names: Sequence[str]) -> str:
 def to_smt(f: Formula, names: Sequence[str]) -> str:
     """Render as an SMT-LIB2 term over the given variable names."""
     if isinstance(f, Atom):
-        op = "=" if f.rel == "=" else f.rel
-        return f"({op} {_smt_linear(f.coeffs, names)} {_smt_int(f.rhs)})"
+        return f"({f.rel} {_smt_linear(f.coeffs, names)} {_smt_int(f.rhs)})"
     if isinstance(f, Conj):
         if not f.parts:
             return "true"
@@ -267,6 +261,4 @@ def to_smt(f: Formula, names: Sequence[str]) -> str:
         if not f.parts:
             return "false"
         return "(or " + " ".join(to_smt(p, names) for p in f.parts) + ")"
-    if isinstance(f, Neg):
-        return f"(not {to_smt(f.inner, names)})"
     raise TypeError(f"not a formula: {f!r}")

@@ -6,10 +6,11 @@ stack of caps asserted as (<= (+ abs_k0 ...) N); (check-sat) answers from a
 fixed model list, the first model whose |k| sum is within every cap, else
 unsat; (get-value (k0 ...)) prints that model. Everything else is ignored,
 and so is (echo "X") under --no-echo, like a solver that cannot echo.
-Under --on-check exit it writes one line to stderr, then exits.
+Under --on-check exit it writes one line to stderr, then exits. Under
+--unknown-under-cap a (check-sat) with any cap in force answers unknown.
 
     python fake_smt.py --models 6,4 3,2 --log PATH [--on-check unknown|hang|exit]
-                       [--no-echo]
+                       [--no-echo] [--unknown-under-cap]
 
 Each start appends "spawn" to the log, each (check-sat) "check-sat".
 """
@@ -30,6 +31,7 @@ def main() -> None:
         "--on-check", choices=["model", "unknown", "hang", "exit"], default="model"
     )
     parser.add_argument("--no-echo", action="store_true")
+    parser.add_argument("--unknown-under-cap", action="store_true")
     args = parser.parse_args()
     models = [tuple(int(x) for x in m.split(",")) for m in args.models]
 
@@ -66,10 +68,10 @@ def main() -> None:
                 return
             if args.on_check == "hang":
                 time.sleep(60)
-            if args.on_check == "unknown":
+            limit = min((c for frame in caps for c in frame), default=None)
+            if args.on_check == "unknown" or (args.unknown_under_cap and limit is not None):
                 say("unknown")
                 continue
-            limit = min((c for frame in caps for c in frame), default=None)
             fits = [m for m in models if limit is None or sum(map(abs, m)) <= limit]
             chosen = fits[0] if fits else None
             say("sat" if chosen else "unsat")

@@ -29,7 +29,7 @@ from petrisep import (
 from petrisep import solver as solver_module
 from petrisep.cegar import initial_bound
 from petrisep.formula import is_multiple_of
-from petrisep.solver import SolverNotFoundError
+from petrisep.solver import SolverNotFoundError, SolverTimeoutError
 
 from conftest import two_place_instance
 
@@ -159,6 +159,13 @@ def test_bound_cap_ends_the_search_as_exhausted():
     assert found.outcome is Outcome.FOUND
     assert max(map(abs, found.halfspace.k)) <= 3
     assert certify(inst, found.halfspace).ok
+
+
+def test_builtin_backend_deadline_raises_timeout(tmp_path, monkeypatch):
+    # an empty PATH hides any native z3; each query here takes far over 20 ms
+    monkeypatch.setenv("PATH", str(tmp_path))
+    with pytest.raises(SolverTimeoutError, match="built-in backend ran out of time"):
+        synthesize(nontrivial_net(6), SolverConfig(timeout_ms=20))
 
 
 def test_minimize_toggle_does_not_change_verdicts(two_place):

@@ -137,6 +137,13 @@ def test_constants_mixed_decreasing_vector_is_inconclusive(example_file, capsys)
     assert "no threshold is inductive" in out
 
 
+def test_constants_without_a_threshold_is_negative(example_file, capsys):
+    assert main(["constants", example_file, "--k", "1,0"]) == 1
+    assert "no threshold works for every transition" in capsys.readouterr().out
+    assert main(["constants", example_file, "--mode", "cover", "--k", "3,2"]) == 1
+    assert "cover mode requires k <= 0: no admissible threshold" in capsys.readouterr().out
+
+
 def test_constants_zero_vector_is_an_input_error(example_file, capsys):
     code = main(["constants", example_file, "--k", "0,0"])
     assert code == 3
@@ -293,6 +300,14 @@ def test_synthesize_solver_that_dies_exits_4(example_file, tmp_path, capsys):
         assert code == 4, name
         assert f"solver error: {error}" in capsys.readouterr().err
         assert log.read_text().split() == ["spawn", "check-sat"], name
+
+
+def test_synthesize_builtin_timeout_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PATH", str(tmp_path))  # no native z3: the built-in backend
+    path = tmp_path / "family.net"
+    path.write_text(format_instance(nontrivial_net(6)))
+    assert main(["synthesize", str(path), "--timeout-ms", "20"]) == 4
+    assert "solver error: built-in backend ran out of time" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(

@@ -11,7 +11,6 @@ from petrisep.formula import (
     Atom,
     Conj,
     Disj,
-    Neg,
     bound_constraint,
     evaluate,
     exclude_multiples,
@@ -42,8 +41,7 @@ def test_connectives():
     bottom = Disj(())
     assert evaluate(top, (0,))
     assert not evaluate(bottom, (0,))
-    assert evaluate(Neg(bottom), (0,))
-    f = Disj((Atom((1,), ">=", 5), Conj((Atom((1,), "<", 0), Neg(Atom((1,), "<=", -4))))))
+    f = Disj((Atom((1,), ">=", 5), Conj((Atom((1,), "<", 0), Atom((1,), ">", -4)))))
     assert evaluate(f, (7,))
     assert evaluate(f, (-3,))
     assert not evaluate(f, (-4,))
@@ -57,9 +55,7 @@ def test_smt_rendering():
     assert to_smt(Atom((0,), "=", 0), ["k0"]) == "(= 0 0)"
     assert to_smt(Conj(()), []) == "true"
     assert to_smt(Disj(()), []) == "false"
-    assert (
-        to_smt(Neg(Conj((Atom((1,), ">", 0),))), ["x"]) == "(not (and (> x 0)))"
-    )
+    assert to_smt(Disj((Atom((1,), "<=", 0),)), ["x"]) == "(or (<= x 0))"
 
 
 def test_separation_condition(two_place):
@@ -107,6 +103,19 @@ def test_exclude_multiples_cuts_exactly_the_multiples():
         f = exclude_multiples(k_hat)
         for k in box(n, 7):
             assert evaluate(f, k) == (not is_multiple_of(k, k_hat)), (k, k_hat)
+
+
+def test_exclude_multiples_is_one_flat_disjunction():
+    # NNF: a cross product above or below zero, or the pivot of the other sign
+    for k_hat in [(1,), (-1,), (3, 2), (0, -2, 3), (2, 0, -1, 5)]:
+        n = len(k_hat)
+        f = exclude_multiples(k_hat)
+        assert type(f) is Disj and len(f.parts) == 2 * (n - 1) + 1, k_hat
+        assert all(type(a) is Atom and a.rel != "=" for a in f.parts), k_hat
+        assert "not" not in to_smt(f, [f"k{i}" for i in range(n)]), k_hat
+    assert to_smt(exclude_multiples((3, 2)), ["a", "b"]) == (
+        "(or (> (+ (* (- 2) a) (* 3 b)) 0) (< (+ (* (- 2) a) (* 3 b)) 0) (<= a 0))"
+    )
 
 
 def test_exclude_multiples_rejects_bad_pivots():

@@ -1,12 +1,14 @@
 """SMT session: parsing helpers, solver discovery, and exact answers."""
 
 import itertools
+import time
 
 import pytest
 
 from petrisep import Mode, SmtSession, SolverConfig, random_instance
 from petrisep import solver as solver_module
 from petrisep.constants import normalize_primitive
+from petrisep.exact import solve
 from petrisep.formula import (
     Atom,
     Conj,
@@ -117,6 +119,30 @@ def test_external_unknown_and_timeout_raise_after_one_spawn(tmp_path):
         with pytest.raises(SolverTimeoutError):
             fake_check(log, *fake_args, timeout_ms=500)
         assert log.read_text().split().count("spawn") == 1, name
+
+
+def test_external_unknown_probe_keeps_the_incumbent(tmp_path):
+    # the plain check finds (6,4); the first capped probe answers unknown
+    log = tmp_path / "probe.log"
+    assert fake_check(log, "--models", "6,4", "3,2", "--unknown-under-cap") == {"k0": 6, "k1": 4}
+    assert log.read_text().split() == ["spawn"] + ["check-sat"] * 2
+
+
+def test_begin_resets_a_live_external_session(tmp_path):
+    log = tmp_path / "reset.log"
+    cfg = SolverConfig(command=fake_smt_command(log, "--models", "6,4", "3,2"), minimize=False)
+    with SmtSession(cfg) as s:
+        s.begin(2)
+        for f in PROPORTION:
+            s.add(f)
+        # a cap at the base level outlives every pop; only (reset) clears it
+        s._send(s._cap_assert(5))
+        assert s.check() == {"k0": 3, "k1": 2}
+        s.begin(2)
+        for f in PROPORTION:
+            s.add(f)
+        assert s.check() == {"k0": 6, "k1": 4}
+    assert log.read_text().split() == ["spawn"] + ["check-sat"] * 2
 
 
 def test_external_solver_exit_reports_its_last_stderr_line(tmp_path):
@@ -248,6 +274,34 @@ def test_no_minimize_still_satisfies():
         model = s.check()
     k = (model["k0"], model["k1"])
     assert all(evaluate(f, k) for f in base)
+
+
+def test_builtin_deeply_nested_formula_is_unknown(monkeypatch):
+    monkeypatch.setattr(solver_module.shutil, "which", lambda name: None)
+    f = Atom((1,), ">=", 0)
+    for _ in range(3000):
+        f = Conj((f,))
+    with SmtSession(SolverConfig()) as s:
+        s.begin(1)
+        s.add(f)
+        with pytest.raises(SolverUnknownError, match="nests too deeply"):
+            s.check()
+
+
+def test_builtin_search_that_gives_up_is_never_unsat():
+    # integer solution (-178, 112, -106, 31), beyond the branch depth limit
+    system = [
+        Atom((-4, -3, 5, 5), "=", 1),
+        Atom((-4, -4, 1, -5), "=", 3),
+        Atom((1, -4, -5, 3), "=", -3),
+    ]
+    assert all(evaluate(f, (-178, 112, -106, 31)) for f in system)
+    for minimize in (True, False):
+        try:
+            model = solve(system, 4, minimize, time.monotonic() + 60)
+        except SolverUnknownError:
+            continue
+        assert model is not None and all(evaluate(f, model) for f in system), minimize
 
 
 def test_begin_resets_state_for_reuse():
