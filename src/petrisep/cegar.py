@@ -10,6 +10,7 @@ separating inductive half space exists at all.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -120,8 +121,8 @@ def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisRe
         )
         return SynthesisResult(outcome, hs, sep, chk, stats)
 
-    def attempt(model: dict) -> Optional[tuple[HalfSpace, SeparatorVerdict, NetCheck]]:
-        k_hat = normalize_primitive(tuple(model[name] for name in session.names))
+    def attempt(model: IntVector) -> Optional[tuple[HalfSpace, SeparatorVerdict, NetCheck]]:
+        k_hat = normalize_primitive(model)
         examined.append(k_hat)
         report = constants_for_instance(inst, k_hat)
         if report.chosen is None:
@@ -135,27 +136,26 @@ def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisRe
             )
         return hs, sep, chk
 
-    # Fast path: a vector trivial for every transition. When this formula
-    # is satisfiable a workable threshold always exists, so the exact
-    # generator below cannot come back empty.
+    # One problem: the necessary condition over k, unconstrained.
     session.begin(n)
-    session.add(trivial_separator_formula(inst))
-    model = session.check()
+    session.add(separator_formula(inst))
+
+    # Fast path: a vector trivial for every transition. The trivial formula
+    # implies the separator formula, so it is a scoped probe of the same
+    # problem. When it is satisfiable a workable threshold always exists,
+    # so the exact generator below cannot come back empty.
+    model = session.check([trivial_separator_formula(inst)])
     if model is not None:
         got = attempt(model)
         if got is not None:
             return finish(Outcome.FOUND, *got, fast=True)
 
-    # Necessary condition over k, unconstrained: unsat here is a proof
-    # that no separating inductive half space exists.
-    session.begin(n)
-    session.add(separator_formula(inst))
+    # Unsat here is a proof that no separating inductive half space exists.
     if session.check() is None:
         return finish(Outcome.NO_SEPARATOR)
 
-    bound = initial_bound(inst)
-    if budget.max_bound is not None:
-        bound = min(bound, budget.max_bound)
+    cap = budget.max_bound or math.inf
+    bound = min(initial_bound(inst), cap)
     while (
         len(examined) < budget.max_iterations
         and time.monotonic() - t0 < budget.max_seconds
@@ -171,11 +171,9 @@ def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisRe
             if session.check() is None:
                 # Even without the bound nothing is left.
                 return finish(Outcome.NO_SEPARATOR)
-            if budget.max_bound is not None and bound >= budget.max_bound:
+            if bound >= cap:
                 return finish(Outcome.EXHAUSTED, bound=bound)
-            bound *= 2
-            if budget.max_bound is not None:
-                bound = min(bound, budget.max_bound)
+            bound = min(2 * bound, cap)
     return finish(Outcome.EXHAUSTED, bound=bound)
 
 

@@ -140,9 +140,14 @@ def generate_constants(
 
     limit = frobenius_limit(k)
     coins = sorted({abs(x) for x in k if x != 0})
+    result = IntervalSet.at_most(post_val) if kmin >= 0 else IntervalSet.at_least(base + 1)
+    if width >= coins[0]:
+        # Every window this wide meets base moved by a multiple of the
+        # smallest coin: only the trivial ray is left. Returning here keeps
+        # the bit set below bounded by k, not by the flows.
+        return finish(result)
 
     if kmin >= 0:
-        result = IntervalSet.at_most(post_val)
         cand_lo, cand_hi = post_val + 1, base + limit - 1
         if window is not None:
             cand_lo = max(cand_lo, window[0])
@@ -155,7 +160,6 @@ def generate_constants(
             ends = _gap_ends(coins, width, cand_lo + shift, cand_hi + shift)
             result = result.union(IntervalSet.of(*(j - shift for j in ends)))
     else:
-        result = IntervalSet.at_least(base + 1)
         cand_lo, cand_hi = base - limit, base
         if window is not None:
             cand_lo = max(cand_lo, window[0])

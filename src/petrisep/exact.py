@@ -41,6 +41,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .formula import Atom, Conj, Disj, Formula
+from .net import IntVector
 from .solver import SolverTimeoutError, SolverUnknownError
 
 # Nested integer branches on one search path. Deeper paths are abandoned,
@@ -97,83 +98,65 @@ TRUE = _And(())
 FALSE = _Or(())
 
 
-class _Normalizer:
-    """Literals and connectives, with equal literals and disjunctions shared."""
-
-    def __init__(self):
-        self._lits: dict = {}
-        self._ors: dict = {}
-        self._negated: dict = {}
-
-    def convert(self, f: Formula):
-        if isinstance(f, Atom):
-            terms = tuple((i, c) for i, c in enumerate(f.coeffs) if c)
-            return self._relation(terms, f.rel, f.rhs)
-        if isinstance(f, Conj):
-            return self.conj([self.convert(p) for p in f.parts])
-        if isinstance(f, Disj):
-            return self.disj([self.convert(p) for p in f.parts])
-        raise TypeError(f"not a formula: {f!r}")
-
-    def _relation(self, terms: tuple, rel: str, rhs: int):
+def _convert(f: Formula):
+    """A formula as literals under _And and _Or."""
+    if isinstance(f, Atom):
+        terms = tuple((i, c) for i, c in enumerate(f.coeffs) if c)
         neg = tuple((v, -c) for v, c in terms)
-        if rel == ">=":
-            return self._lit(terms, rhs)
-        if rel == ">":
-            return self._lit(terms, rhs + 1)
-        if rel == "<=":
-            return self._lit(neg, -rhs)
-        if rel == "<":
-            return self._lit(neg, 1 - rhs)
-        return self.conj((self._lit(terms, rhs), self._lit(neg, -rhs)))
+        if f.rel == ">=":
+            return _lit(terms, f.rhs)
+        if f.rel == ">":
+            return _lit(terms, f.rhs + 1)
+        if f.rel == "<=":
+            return _lit(neg, -f.rhs)
+        if f.rel == "<":
+            return _lit(neg, 1 - f.rhs)
+        return _conj((_lit(terms, f.rhs), _lit(neg, -f.rhs)))
+    if isinstance(f, Conj):
+        return _conj([_convert(p) for p in f.parts])
+    if isinstance(f, Disj):
+        return _disj([_convert(p) for p in f.parts])
+    raise TypeError(f"not a formula: {f!r}")
 
-    def _lit(self, terms: tuple, lo: int):
-        if not terms:
-            return TRUE if lo <= 0 else FALSE
-        g = math.gcd(*(c for _, c in terms))
-        if g > 1:
-            terms = tuple((v, c // g) for v, c in terms)
-            lo = -(-lo // g)
-        lit = self._lits.get((terms, lo))
-        if lit is None:
-            lit = self._lits[terms, lo] = _Lit(terms, lo)
-        return lit
 
-    def negate(self, node):
-        neg = self._negated.get(id(node))
-        if neg is None:
-            if type(node) is _Lit:
-                neg = self._lit(tuple((v, -c) for v, c in node.terms), 1 - node.lo)
-            elif type(node) is _Or:
-                neg = self.conj([self.negate(p) for p in node.parts])
-            else:
-                neg = self.disj([self.negate(p) for p in node.parts])
-            self._negated[id(node)] = neg
-        return neg
+def _lit(terms: tuple, lo: int):
+    if not terms:
+        return TRUE if lo <= 0 else FALSE
+    g = math.gcd(*(c for _, c in terms))
+    if g > 1:
+        terms = tuple((v, c // g) for v, c in terms)
+        lo = -(-lo // g)
+    return _Lit(terms, lo)
 
-    def conj(self, parts):
-        flat = []
-        for p in parts:
-            if p is FALSE:
-                return FALSE
-            flat.extend(p.parts if type(p) is _And else (p,))
-        if len(flat) < 2:
-            return flat[0] if flat else TRUE
-        return _And(tuple(flat))
 
-    def disj(self, parts):
-        flat = []
-        for p in parts:
-            if p is TRUE:
-                return TRUE
-            flat.extend(p.parts if type(p) is _Or else (p,))
-        if len(flat) < 2:
-            return flat[0] if flat else FALSE
-        ids = tuple(map(id, flat))
-        node = self._ors.get(ids)
-        if node is None:
-            node = self._ors[ids] = _Or(tuple(flat))
-        return node
+def _negate(node):
+    if type(node) is _Lit:
+        return _lit(tuple((v, -c) for v, c in node.terms), 1 - node.lo)
+    if type(node) is _Or:
+        return _conj([_negate(p) for p in node.parts])
+    return _disj([_negate(p) for p in node.parts])
+
+
+def _conj(parts):
+    flat = []
+    for p in parts:
+        if p is FALSE:
+            return FALSE
+        flat.extend(p.parts if type(p) is _And else (p,))
+    if len(flat) < 2:
+        return flat[0] if flat else TRUE
+    return _And(tuple(flat))
+
+
+def _disj(parts):
+    flat = []
+    for p in parts:
+        if p is TRUE:
+            return TRUE
+        flat.extend(p.parts if type(p) is _Or else (p,))
+    if len(flat) < 2:
+        return flat[0] if flat else FALSE
+    return _Or(tuple(flat))
 
 
 def _reduce(den: int, coeffs: list) -> tuple[int, list]:
@@ -421,10 +404,8 @@ class _Search:
         self.nk = nk
         self.minimize = minimize
         self.deadline = deadline
-        norm = _Normalizer()
-        self.root = norm.conj([norm.convert(f) for f in formulas])
-        self.negate = norm.negate
-        self.best: Optional[list[int]] = None
+        self.root = _conj([_convert(f) for f in formulas])
+        self.best: Optional[IntVector] = None
         self.best_sum: Optional[int] = None
         self.gave_up = False
         self._ticks = 0
@@ -442,7 +423,7 @@ class _Search:
         if self._ticks & 63 == 0 and time.monotonic() > self.deadline:
             raise SolverTimeoutError("built-in backend ran out of time")
 
-    def run(self) -> Optional[list[int]]:
+    def run(self) -> Optional[IntVector]:
         pending: list = []
         if self._assert(self.root, pending):
             try:
@@ -461,8 +442,7 @@ class _Search:
         if type(node) is _Or:
             if not node.parts:
                 return False
-            if node not in pending:
-                pending.append(node)
+            pending.append(node)
             return True
         return all(self._assert(p, pending) for p in node.parts)
 
@@ -479,7 +459,7 @@ class _Search:
     def _offer(self, k: list[int]) -> None:
         """Record a model; stop unless a smaller one may still exist."""
         total = sum(map(abs, k))
-        self.best, self.best_sum = k, total
+        self.best, self.best_sum = tuple(k), total
         if not self.minimize or total == 0:
             raise _Found
         self.lp.cap(self.total, total - 1)
@@ -508,7 +488,7 @@ class _Search:
                     mark = lp.mark()
                     more = list(rest)
                     if self._assert(child, more) and all(
-                        self._assert(self.negate(c), more) for c in violated.parts[:i]
+                        self._assert(_negate(c), more) for c in violated.parts[:i]
                     ):
                         self._node(more, depth)
                     lp.undo(mark)
@@ -539,7 +519,7 @@ class _Search:
 
 def solve(
     formulas: Sequence[Formula], nvars: int, minimize: bool, deadline: float
-) -> Optional[list[int]]:
+) -> Optional[IntVector]:
     """An integer model of all formulas over nvars unknowns, or None if none.
 
     With minimize the model has the least sum |k(i)| (if the search gave up

@@ -29,6 +29,7 @@ from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 from .formula import Formula, evaluate, to_smt
+from .net import IntVector
 
 
 class SolverError(Exception):
@@ -98,8 +99,8 @@ def discover_solver() -> tuple[str, ...]:
 _PAIR = re.compile(r"\(\s*([^\s()]+)\s+(?:(-?\d+)|\(\s*-\s+(\d+)\s*\))\s*\)")
 
 
-def parse_model(text: str, names: Sequence[str]) -> dict[str, int]:
-    """Extract variable values from get-value output like ((k0 5) (k1 (- 3)))."""
+def parse_model(text: str, names: Sequence[str]) -> IntVector:
+    """Values in names order from get-value output like ((k0 5) (k1 (- 3)))."""
     depths = list(accumulate((ch == "(") - (ch == ")") for ch in text)) or [0]
     if min(depths) < 0 or depths[-1] != 0:
         raise SolverParseError(f"unbalanced parentheses in {text!r}")
@@ -107,7 +108,7 @@ def parse_model(text: str, names: Sequence[str]) -> dict[str, int]:
     missing = [n for n in names if n not in values]
     if missing:
         raise SolverParseError(f"model output lacked integer values for {missing}: {text!r}")
-    return {n: values[n] for n in names}
+    return tuple(values[n] for n in names)
 
 
 # -- session ------------------------------------------------------------
@@ -118,11 +119,11 @@ _EOF = object()
 class SmtSession:
     """One solver dialogue; base assertions persist across check() calls.
 
-    begin(n) opens a fresh problem over the integer unknowns k0..k(n-1),
-    reusing the child process via (reset). add() asserts at the base
-    level; check(extra) decides base + extra, returning a model dict or
-    None for unsat. The extra formulas live in a push/pop frame, so they
-    vanish after the call. add() and check() before begin() raise
+    begin(n) opens a fresh problem over n integer unknowns, reusing the
+    child process via (reset). add() asserts at the base level;
+    check(extra) decides base + extra, returning the model as a k-vector
+    (a tuple indexed like k) or None for unsat. The extra formulas live
+    in a push/pop frame, so they vanish after the call. add() and check() before begin() raise
     SolverError. With command None the built-in exact backend answers
     every check() in-process and no child is started.
     """
@@ -154,10 +155,6 @@ class SmtSession:
                 self._send("(reset)")
             self._send(self._preamble())
 
-    @property
-    def names(self) -> list[str]:
-        return list(self._names)
-
     def close(self) -> None:
         proc = self._proc
         if proc is None:
@@ -184,8 +181,8 @@ class SmtSession:
         if self.command:
             self._send(f"(assert {to_smt(f, self._names)})")
 
-    def check(self, extra: Sequence[Formula] = ()) -> Optional[dict[str, int]]:
-        """Decide base + extra. Returns a model dict or None for unsat.
+    def check(self, extra: Sequence[Formula] = ()) -> Optional[IntVector]:
+        """Decide base + extra. Returns a k-vector or None for unsat.
 
         With minimization enabled the returned model has the least sum of
         |k(i)| the backend could establish. An external solver gets a
@@ -199,28 +196,21 @@ class SmtSession:
         extra = list(extra)
         self.queries += 1
         if self.command is None:
-            model = self._check_exact(extra)
+            from .exact import solve  # not at the top: exact imports the errors above
+
+            deadline = time.monotonic() + self.cfg.timeout_ms / 1000.0
+            model = solve(self._base + extra, len(self._names), self.cfg.minimize, deadline)
         else:
             asserts = [f"(assert {to_smt(f, self._names)})" for f in extra]
             model = self._scoped(asserts, self._minimized)
         if model is not None:
-            assignment = [model[n] for n in self._names]
             for f in self._base + extra:
-                if not evaluate(f, assignment):
+                if not evaluate(f, model):
                     raise SolverParseError(
-                        f"model {assignment} fails local re-evaluation; "
+                        f"model {model} fails local re-evaluation; "
                         "refusing to trust the solver output"
                     )
         return model
-
-    # -- built-in backend ------------------------------------------------
-
-    def _check_exact(self, extra: list[Formula]) -> Optional[dict[str, int]]:
-        from .exact import solve  # not at the top: exact imports the errors above
-
-        deadline = time.monotonic() + self.cfg.timeout_ms / 1000.0
-        values = solve(self._base + extra, len(self._names), self.cfg.minimize, deadline)
-        return None if values is None else dict(zip(self._names, values))
 
     # -- external solver: one child process, queries in push/pop frames --
 
@@ -243,14 +233,11 @@ class SmtSession:
             lines.append(f"(assert (>= {aux} (- {name})))")
         return "\n".join(lines)
 
-    def _abs_sum(self, model: dict[str, int]) -> int:
-        return sum(abs(model[n]) for n in self._names)
-
     def _cap_assert(self, cap: int) -> str:
         total = self._aux[0] if len(self._aux) == 1 else "(+ " + " ".join(self._aux) + ")"
         return f"(assert (<= {total} {cap}))"
 
-    def _minimized(self) -> Optional[dict[str, int]]:
+    def _minimized(self) -> Optional[IntVector]:
         """A plain check, then a binary search over capped probes for a smaller |k| sum.
 
         Each probe decides the problem with sum |k(i)| <= cap in its own
@@ -259,7 +246,7 @@ class SmtSession:
         best = self._plain_check()
         if best is None or not self.cfg.minimize:
             return best
-        lo, hi = 0, self._abs_sum(best) - 1
+        lo, hi = 0, sum(map(abs, best)) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
             try:
@@ -270,7 +257,7 @@ class SmtSession:
                 lo = mid + 1
             else:
                 best = probe
-                hi = self._abs_sum(probe) - 1
+                hi = sum(map(abs, probe)) - 1
         return best
 
     def _spawn(self) -> None:
@@ -343,7 +330,7 @@ class SmtSession:
             if line:
                 lines.append(line)
 
-    def _plain_check(self) -> Optional[dict[str, int]]:
+    def _plain_check(self) -> Optional[IntVector]:
         """(check-sat), then get-value on sat; None for unsat."""
         lines = self._exchange("(check-sat)")
         status = next((l for l in lines if l in ("sat", "unsat", "unknown")), None)
@@ -360,8 +347,8 @@ class SmtSession:
         return parse_model("\n".join(lines), self._names)
 
     def _scoped(
-        self, asserts: list[str], run: Callable[[], Optional[dict[str, int]]]
-    ) -> Optional[dict[str, int]]:
+        self, asserts: list[str], run: Callable[[], Optional[IntVector]]
+    ) -> Optional[IntVector]:
         """run() with asserts in a push/pop frame that leaves no trace."""
         self._send("(push 1)")
         try:

@@ -31,7 +31,7 @@ from petrisep.cegar import initial_bound
 from petrisep.formula import is_multiple_of
 from petrisep.solver import SolverNotFoundError, SolverTimeoutError
 
-from conftest import two_place_instance
+from conftest import fake_smt_command, two_place_instance
 
 
 def test_loop_budget_validation():
@@ -109,6 +109,32 @@ def test_synthesize_nontrivial_family_member():
     assert not result.stats.fast_path  # no trivial separator exists
     assert check_net(inst.net, result.halfspace).inductive
     assert verify_separator(inst, result.halfspace).ok
+
+
+def test_one_synthesis_opens_one_solver_problem(monkeypatch):
+    begins = []
+    plain_begin = SmtSession.begin
+    monkeypatch.setattr(
+        SmtSession, "begin", lambda self, n: begins.append(n) or plain_begin(self, n)
+    )
+    fast = random_instance(3, places=2)
+    for inst, fast_path in ((nontrivial_net(3), False), (fast, True)):
+        begins.clear()
+        result = synthesize(inst)
+        assert result.outcome is Outcome.FOUND
+        assert result.stats.fast_path is fast_path
+        assert begins == [inst.net.n]
+
+
+def test_fast_path_is_one_scoped_probe_of_the_external_solver(tmp_path):
+    # (1, 0) satisfies the trivial formula; the capped probe below it is unsat
+    log = tmp_path / "fake.log"
+    cfg = SolverConfig(command=fake_smt_command(log, "--models", "1,0"))
+    result = synthesize(random_instance(3, places=2), cfg)
+    assert result.outcome is Outcome.FOUND and result.stats.fast_path
+    assert result.halfspace == HalfSpace((1, 0), 2)
+    assert result.stats.solver_queries == 1
+    assert log.read_text().split() == ["spawn"] + ["check-sat"] * 2
 
 
 def test_examined_candidates_are_primitive_and_pairwise_not_multiples():

@@ -8,8 +8,10 @@ import pytest
 
 from petrisep import (
     HalfSpace,
+    Instance,
     IntervalSet,
     Mode,
+    PetriNet,
     Transition,
     check_transition,
     choose_constant,
@@ -168,6 +170,24 @@ def test_gap_ends_cost_grows_with_the_gaps_not_their_square():
     assert len(ends) == 198_765
     assert ends[:3] == [1, 2, 3]
     assert ends[-1] == 631 * 632 - 631 - 632  # the Frobenius number
+
+
+def test_generate_constants_cost_does_not_grow_with_the_flows():
+    # A drop wider than the smallest |k(i)| leaves only the trivial ray; a
+    # bit set over the drop would need about 10**18 bits here.
+    w = 10**18
+    t = Transition("t", (w, 0), (0, 2))
+    inst = Instance(PetriNet(("p", "q"), (t,)), (0, 2), (0, 0), Mode.REACH)
+    report = constants_for_instance(inst, (1, 3))
+    assert report.window == (1, 6)
+    assert report.combined == IntervalSet.between(1, 6)
+    assert report.chosen == 6
+    assert check_transition((1, 3), 6, t).inductive
+    assert not check_transition((1, 3), 7, t).inductive
+    assert generate_constants((1, 3), t) == IntervalSet.at_most(6)
+    up = Transition("u", (0, 0), (w, 0))
+    assert generate_constants((-1, -3), up) == IntervalSet.at_least(1)
+    assert generate_constants((-1, -3), up, window=(-w, w)) == IntervalSet.between(1, w)
 
 
 def test_generate_constants_oriented_keeps_everything():

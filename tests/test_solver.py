@@ -1,6 +1,7 @@
 """SMT session: parsing helpers, solver discovery, and exact answers."""
 
 import itertools
+import random
 import time
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from petrisep import Mode, SmtSession, SolverConfig, random_instance
 from petrisep import solver as solver_module
 from petrisep.constants import normalize_primitive
-from petrisep.exact import solve
+from petrisep.exact import _convert, _negate, solve
 from petrisep.formula import (
     Atom,
     Conj,
@@ -36,11 +37,11 @@ from conftest import fake_smt_command
 
 def test_parse_model_reads_values_and_negatives():
     text = "((k0 3) (k1 (- 2)))"
-    assert parse_model(text, ["k0", "k1"]) == {"k0": 3, "k1": -2}
+    assert parse_model(text, ["k0", "k1"]) == (3, -2)
     # one pair per line, as z3 prints long answers, and loose spacing
     text = "((k0 3)\n (k1 (-  2))\n (k2 0))"
-    assert parse_model(text, ["k0", "k1", "k2"]) == {"k0": 3, "k1": -2, "k2": 0}
-    assert parse_model("(  ( k1\n(-\t7 ) )( k0 12 ))", ["k0", "k1"]) == {"k0": 12, "k1": -7}
+    assert parse_model(text, ["k0", "k1", "k2"]) == (3, -2, 0)
+    assert parse_model("(  ( k1\n(-\t7 ) )( k0 12 ))", ["k0", "k1"]) == (12, -7)
 
 
 @pytest.mark.parametrize(
@@ -70,7 +71,7 @@ def test_discovery_finds_native_z3_or_leaves_the_builtin_backend(monkeypatch):
         assert s.command is None
         s.begin(1)
         s.add(Atom((1,), ">=", 2))
-        assert s.check() == {"k0": 2}
+        assert s.check() == (2,)
     monkeypatch.setattr(
         solver_module.shutil, "which", lambda name: "/usr/local/bin/z3" if name == "z3" else None
     )
@@ -102,7 +103,7 @@ def fake_check(log, *fake_args, timeout_ms=15_000):
 
 def test_external_pipe_minimizes_in_one_child(tmp_path):
     log = tmp_path / "fake.log"
-    assert fake_check(log, "--models", "6,4", "3,2") == {"k0": 3, "k1": 2}
+    assert fake_check(log, "--models", "6,4", "3,2") == (3, 2)
     # (6,4), then caps 4 (unsat) and 7, all in the one child
     assert log.read_text().split() == ["spawn"] + ["check-sat"] * 3
 
@@ -124,7 +125,7 @@ def test_external_unknown_and_timeout_raise_after_one_spawn(tmp_path):
 def test_external_unknown_probe_keeps_the_incumbent(tmp_path):
     # the plain check finds (6,4); the first capped probe answers unknown
     log = tmp_path / "probe.log"
-    assert fake_check(log, "--models", "6,4", "3,2", "--unknown-under-cap") == {"k0": 6, "k1": 4}
+    assert fake_check(log, "--models", "6,4", "3,2", "--unknown-under-cap") == (6, 4)
     assert log.read_text().split() == ["spawn"] + ["check-sat"] * 2
 
 
@@ -137,11 +138,11 @@ def test_begin_resets_a_live_external_session(tmp_path):
             s.add(f)
         # a cap at the base level outlives every pop; only (reset) clears it
         s._send(s._cap_assert(5))
-        assert s.check() == {"k0": 3, "k1": 2}
+        assert s.check() == (3, 2)
         s.begin(2)
         for f in PROPORTION:
             s.add(f)
-        assert s.check() == {"k0": 6, "k1": 4}
+        assert s.check() == (6, 4)
     assert log.read_text().split() == ["spawn"] + ["check-sat"] * 2
 
 
@@ -167,7 +168,7 @@ def test_add_before_begin_raises_on_both_backends(tmp_path, monkeypatch):
                 s.add(Atom((1,), "=", 4))
             s.begin(1)
             s.add(Atom((1,), "=", 4))
-            assert s.check() == {"k0": 4}
+            assert s.check() == (4,)
     assert log.read_text().split() == ["spawn", "check-sat"]
 
 
@@ -190,8 +191,7 @@ def test_check_sat_returns_a_satisfying_model():
             s.add(f)
         model = s.check()
     assert model is not None
-    k = (model["k0"], model["k1"])
-    assert all(evaluate(f, k) for f in base)
+    assert all(evaluate(f, model) for f in base)
 
 
 def test_check_unsat_returns_none():
@@ -205,8 +205,8 @@ def test_extra_formulas_are_scoped_to_one_call():
     with SmtSession(SolverConfig()) as s:
         s.begin(1)
         s.add(Atom((1,), ">=", 0))
-        assert s.check([Atom((1,), ">=", 5), Atom((1,), "<=", 5)]) == {"k0": 5}
-        assert s.check([Atom((1,), "<=", 3), Atom((1,), ">=", 3)]) == {"k0": 3}
+        assert s.check([Atom((1,), ">=", 5), Atom((1,), "<=", 5)]) == (5,)
+        assert s.check([Atom((1,), "<=", 3), Atom((1,), ">=", 3)]) == (3,)
 
 
 def test_minimization_finds_smallest_absolute_sum():
@@ -219,7 +219,7 @@ def test_minimization_finds_smallest_absolute_sum():
         for f in base:
             s.add(f)
         model = s.check()
-    assert sum(abs(v) for v in model.values()) == expected == 7
+    assert sum(map(abs, model)) == expected == 7
 
     # Separator formulas of random instances, then the same with the
     # refinement that excludes their least model, all inside a box of
@@ -245,7 +245,7 @@ def test_minimization_finds_smallest_absolute_sum():
                 assert model is None, (seed, places, mode, model)
             else:
                 expected = min(sum(map(abs, k)) for k in models)
-                assert sum(map(abs, model.values())) == expected, (seed, places, mode)
+                assert sum(map(abs, model)) == expected, (seed, places, mode)
             outcomes.add((len(formulas), model is None))
     assert outcomes == {(2, False), (2, True), (3, False), (3, True)}
 
@@ -262,7 +262,7 @@ def test_minimization_handles_disjunctions_and_negatives():
         for f in base:
             s.add(f)
         model = s.check()
-    assert sum(abs(v) for v in model.values()) == expected == 6
+    assert sum(map(abs, model)) == expected == 6
 
 
 def test_no_minimize_still_satisfies():
@@ -272,8 +272,7 @@ def test_no_minimize_still_satisfies():
         for f in base:
             s.add(f)
         model = s.check()
-    k = (model["k0"], model["k1"])
-    assert all(evaluate(f, k) for f in base)
+    assert all(evaluate(f, model) for f in base)
 
 
 def test_builtin_deeply_nested_formula_is_unknown(monkeypatch):
@@ -304,16 +303,37 @@ def test_builtin_search_that_gives_up_is_never_unsat():
         assert model is not None and all(evaluate(f, model) for f in system), minimize
 
 
+def random_formula(rng, n, depth):
+    if depth == 0 or rng.random() < 0.3:
+        coeffs = tuple(rng.randint(-3, 3) for _ in range(n))
+        return Atom(coeffs, rng.choice((">=", ">", "=", "<=", "<")), rng.randint(-4, 4))
+    kind = rng.choice((Conj, Disj))
+    return kind(tuple(random_formula(rng, n, depth - 1) for _ in range(rng.randint(0, 3))))
+
+
+def test_builtin_normal_form_and_its_negation_match_evaluate():
+    # constant atoms, empty connectives and gcd tightening all occur here
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randint(2, 3)
+        f = random_formula(rng, n, 3)
+        node = _convert(f)
+        neg = _negate(node)
+        for p in itertools.product(range(-3, 4), repeat=n):
+            p = list(p)
+            assert node.holds(p, 1) == evaluate(f, p), (f, p)
+            assert neg.holds(p, 1) == (not evaluate(f, p)), (f, p)
+
+
 def test_begin_resets_state_for_reuse():
     with SmtSession(SolverConfig()) as s:
         s.begin(1)
         s.add(Atom((1,), "=", 4))
-        assert s.check() == {"k0": 4}
+        assert s.check() == (4,)
         s.begin(3)
-        assert s.names == ["k0", "k1", "k2"]
         s.add(Atom((1, 1, 1), "=", -2))
         model = s.check()
-        assert sum(model.values()) == -2
+        assert len(model) == 3 and sum(model) == -2
         # the old k0 = 4 constraint must be gone
         assert s.check([Atom((1, 0, 0), "=", 0)]) is not None
 
