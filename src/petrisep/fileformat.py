@@ -10,6 +10,12 @@ Grammar (one directive per line, '#' starts a full-line comment):
 
 `places` must appear before any directive that needs the arity. `mode` is
 optional and defaults to reach. Parse errors carry the offending line number.
+
+An integer token is whatever Python's `int()` accepts: an optional sign,
+single underscores between digits, and any Unicode decimal digits, so `+3`,
+`1_0` and U+0663 (ARABIC-INDIC DIGIT THREE) read as 3, 10 and 3. A line
+ends at LF, CR LF or CR. `load_instance` reads UTF-8 and skips a byte order
+mark at the start of the file.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ def _parse_ints(tokens: list[str], lineno: int, what: str) -> tuple[int, ...]:
 
 def parse_instance(text: str) -> Instance:
     places: Optional[tuple[str, ...]] = None
+    n = 0
     transitions: list[Transition] = []
     tnames: set[str] = set()
     m_init = None
@@ -53,26 +60,16 @@ def parse_instance(text: str) -> Instance:
     # line breaks, and then name the wrong line in an error.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # split() drops the whitespace strip() would, so a comment is a
+        # line whose first token starts with '#'.
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
         head = tokens[0]
 
-        if head == "places":
-            if places is not None:
-                raise NetFormatError("duplicate places directive", lineno)
-            names = tokens[1:]
-            if not names:
-                raise NetFormatError("places directive needs at least one name", lineno)
-            if len(set(names)) != len(names):
-                raise NetFormatError("duplicate place name", lineno)
-            places = tuple(names)
-
-        elif head == "transition":
+        if head == "transition":
             if places is None:
                 raise NetFormatError("transition before places directive", lineno)
-            n = len(places)
             if len(tokens) != 4 + 2 * n or tokens[2] != "pre" or tokens[3 + n] != "post":
                 raise NetFormatError(
                     f"expected: transition <name> pre <{n} ints> post <{n} ints>",
@@ -81,13 +78,28 @@ def parse_instance(text: str) -> Instance:
             name = tokens[1]
             if name in tnames:
                 raise NetFormatError(f"duplicate transition name {name!r}", lineno)
-            pre = _parse_ints(tokens[3 : 3 + n], lineno, "pre")
-            post = _parse_ints(tokens[4 + n : 4 + 2 * n], lineno, "post")
+            try:
+                pre = tuple(map(int, tokens[3 : 3 + n]))
+                post = tuple(map(int, tokens[4 + n :]))
+            except ValueError:  # again, token by token, to name the bad one
+                pre = _parse_ints(tokens[3 : 3 + n], lineno, "pre")
+                post = _parse_ints(tokens[4 + n :], lineno, "post")
             try:
                 transitions.append(Transition(name, pre, post))
             except StructureError as exc:
                 raise NetFormatError(str(exc), lineno)
             tnames.add(name)
+
+        elif head == "places":
+            if places is not None:
+                raise NetFormatError("duplicate places directive", lineno)
+            names = tokens[1:]
+            if not names:
+                raise NetFormatError("places directive needs at least one name", lineno)
+            if len(set(names)) != len(names):
+                raise NetFormatError("duplicate place name", lineno)
+            places = tuple(names)
+            n = len(places)
 
         elif head in ("init", "target"):
             if places is None:
@@ -96,12 +108,13 @@ def parse_instance(text: str) -> Instance:
                 head == "target" and m_final is not None
             ):
                 raise NetFormatError(f"duplicate {head} directive", lineno)
-            vals = _parse_ints(tokens[1:], lineno, head)
-            if len(vals) != len(places):
-                raise NetFormatError(
-                    f"{head} has {len(vals)} entries, expected {len(places)}", lineno
-                )
-            if any(v < 0 for v in vals):
+            try:
+                vals = tuple(map(int, tokens[1:]))
+            except ValueError:
+                vals = _parse_ints(tokens[1:], lineno, head)
+            if len(vals) != n:
+                raise NetFormatError(f"{head} has {len(vals)} entries, expected {n}", lineno)
+            if min(vals) < 0:
                 raise NetFormatError(f"{head} marking must be non-negative", lineno)
             if head == "init":
                 m_init = vals
@@ -113,7 +126,7 @@ def parse_instance(text: str) -> Instance:
                 raise NetFormatError("duplicate mode directive", lineno)
             if len(tokens) != 2 or tokens[1] not in ("reach", "cover"):
                 raise NetFormatError("mode must be 'reach' or 'cover'", lineno)
-            mode = Mode(tokens[1])
+            mode = Mode.COVER if tokens[1] == "cover" else Mode.REACH
             saw_mode = True
 
         else:
@@ -133,9 +146,12 @@ def parse_instance(text: str) -> Instance:
 def format_instance(inst: Instance) -> str:
     """Serialize an instance; parse_instance(format_instance(i)) == i.
 
-    Raises ValueError for the first place or transition name that is not
-    one whitespace-free token, which the format could not read back.
+    Raises ValueError for a net without places, and for the first place or
+    transition name that is not one whitespace-free token: the format could
+    not read either back.
     """
+    if not inst.net.places:
+        raise ValueError("a net without places cannot be written: the format needs one")
     names = (*inst.net.places, *(t.name for t in inst.net.transitions))
     bad = next((name for name in names if name.split() != [name]), None)
     if bad is not None:
@@ -155,5 +171,5 @@ def format_instance(inst: Instance) -> str:
 
 
 def load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_instance(fh.read())

@@ -58,8 +58,12 @@ class Transition:
     delta: IntVector = field(init=False)
 
     def __post_init__(self):
-        pre = tuple(self.pre)
-        post = tuple(self.post)
+        # A tuple is stored as given; anything else is converted once.
+        if type(self.pre) is not tuple:
+            object.__setattr__(self, "pre", tuple(self.pre))
+        if type(self.post) is not tuple:
+            object.__setattr__(self, "post", tuple(self.post))
+        pre, post = self.pre, self.post
         if len(pre) != len(post):
             raise StructureError(
                 f"transition {self.name!r}: pre/post arity mismatch "
@@ -67,8 +71,6 @@ class Transition:
             )
         if min(pre, default=0) < 0 or min(post, default=0) < 0:
             raise StructureError(f"transition {self.name!r}: negative flow entry")
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "post", post)
         object.__setattr__(self, "delta", tuple(map(sub, post, pre)))
 
     def is_enabled(self, marking: Sequence[int]) -> bool:
@@ -90,29 +92,24 @@ class PetriNet:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self):
-        places = tuple(self.places)
-        transitions = tuple(self.transitions)
-        if len(set(places)) != len(places):
+        if type(self.places) is not tuple:
+            object.__setattr__(self, "places", tuple(self.places))
+        if type(self.transitions) is not tuple:
+            object.__setattr__(self, "transitions", tuple(self.transitions))
+        n = len(self.places)
+        if len(set(self.places)) != n:
             raise StructureError("duplicate place names")
         seen = set()
-        for t in transitions:
-            if len(t.pre) != len(places):
-                raise StructureError(
-                    f"transition {t.name!r} arity {len(t.pre)} != {len(places)} places"
-                )
+        for t in self.transitions:
+            if len(t.pre) != n:
+                raise StructureError(f"transition {t.name!r} arity {len(t.pre)} != {n} places")
             if t.name in seen:
                 raise StructureError(f"duplicate transition name {t.name!r}")
             seen.add(t.name)
-        object.__setattr__(self, "places", places)
-        object.__setattr__(self, "transitions", transitions)
 
     @property
     def n(self) -> int:
         return len(self.places)
-
-
-def is_marking(v: Sequence[int]) -> bool:
-    return all(x >= 0 for x in v)
 
 
 class Mode(Enum):
@@ -144,15 +141,16 @@ class Instance:
     mode: Mode = Mode.REACH
 
     def __post_init__(self):
-        m0 = tuple(self.m_init)
-        mf = tuple(self.m_final)
-        n = self.net.n
+        if type(self.m_init) is not tuple:
+            object.__setattr__(self, "m_init", tuple(self.m_init))
+        if type(self.m_final) is not tuple:
+            object.__setattr__(self, "m_final", tuple(self.m_final))
+        m0, mf = self.m_init, self.m_final
+        n = len(self.net.places)
         if len(m0) != n or len(mf) != n:
             raise StructureError("initial/target marking arity mismatch")
-        if not is_marking(m0) or not is_marking(mf):
+        if min(m0, default=0) < 0 or min(mf, default=0) < 0:
             raise StructureError("markings must be non-negative")
-        object.__setattr__(self, "m_init", m0)
-        object.__setattr__(self, "m_final", mf)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,29 @@ def test_transition_validation():
         Transition("t", (1,), (0, 0))
 
 
+def test_constructors_store_tuples_as_given_and_convert_the_rest():
+    class Vec(tuple):
+        pass
+
+    pre, post = (1, 0), (0, 1)
+    t = Transition("t", pre, post)
+    assert t.pre is pre and t.post is post
+    places, ts = ("p", "q"), (t,)
+    net = PetriNet(places, ts)
+    assert net.places is places and net.transitions is ts
+    inst = Instance(net, pre, post)
+    assert inst.m_init is pre and inst.m_final is post
+    # lists, iterators and tuple subclasses become plain tuples
+    u = Transition("u", [1, 0], Vec((0, 1)))
+    net = PetriNet(iter(["p", "q"]), [t, u])
+    inst = Instance(net, Vec((1, 0)), iter((0, 1)))
+    for v in (u.pre, u.post, net.places, net.transitions, inst.m_init, inst.m_final):
+        assert type(v) is tuple
+    assert inst == Instance(PetriNet(places, (t, Transition("u", pre, post))), pre, post)
+    with pytest.raises(StructureError, match="non-negative"):
+        Instance(net, [1, -1], Vec((0, 1)))
+
+
 def test_net_rejects_duplicates():
     t = Transition("t", (1,), (0,))
     with pytest.raises(StructureError):
