@@ -19,7 +19,7 @@ from typing import Optional, Sequence, TextIO, Union
 
 from .cegar import LoopBudget, Outcome, certify, synthesize
 from .constants import constants_for_instance, separator_window
-from .fileformat import NetFormatError, format_instance, load_instance
+from .fileformat import NetFormatError, format_instance, int_problem, load_instance
 from .generators import nontrivial_net, random_instance, ussp_halfspace
 from .inductivity import (
     OracleBudgetError,
@@ -50,11 +50,11 @@ def _parse_vector(parts: Sequence[str]) -> tuple[int, ...]:
     # The tokens of an nargs="+" option, each holding one or more
     # comma-separated integers, so both --k 3,2 and --k -4 -3 work
     # (argparse takes -4,-3 for an option).
-    text = " ".join(parts)
+    tokens = " ".join(parts).replace(",", " ").split()
     try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
+        return tuple(map(int, tokens))
     except ValueError:
-        raise ValueError(f"cannot parse integer vector from {text!r}")
+        raise ValueError(f"cannot parse integer vector: {int_problem(tokens)}")
 
 
 def _read_k(args, inst: Instance) -> tuple[int, ...]:

@@ -13,14 +13,16 @@ optional and defaults to reach. Parse errors carry the offending line number.
 
 An integer token is whatever Python's `int()` accepts: an optional sign,
 single underscores between digits, and any Unicode decimal digits, so `+3`,
-`1_0` and U+0663 (ARABIC-INDIC DIGIT THREE) read as 3, 10 and 3. A line
-ends at LF, CR LF or CR. `load_instance` reads UTF-8 and skips a byte order
-mark at the start of the file.
+`1_0` and U+0663 (ARABIC-INDIC DIGIT THREE) read as 3, 10 and 3, up to
+Python's limit on the digits of one integer (sys.get_int_max_str_digits(),
+4300 by default). A line ends at LF, CR LF or CR. `load_instance` reads
+UTF-8 and skips a byte order mark at the start of the file.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import sys
+from typing import Optional, Sequence
 
 from .net import Instance, Mode, PetriNet, StructureError, Transition
 
@@ -33,16 +35,26 @@ class NetFormatError(ValueError):
         super().__init__(message)
 
 
+def int_problem(tokens: Sequence[str]) -> str:
+    """Why int() refuses the first token it refuses, quoting at most 20 characters."""
+    for tok in tokens:
+        try:
+            int(tok)
+        except ValueError:
+            break
+    shown = repr(tok) if len(tok) <= 20 else f"{tok[:20]!r}..."
+    digits = sum(map(str.isdecimal, tok))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < digits:
+        return f"{shown} has {digits} digits, over the limit sys.get_int_max_str_digits() = {limit}"
+    return f"{shown} is not an integer"
+
+
 def _parse_ints(tokens: list[str], lineno: int, what: str) -> tuple[int, ...]:
     try:
         return tuple(map(int, tokens))
     except ValueError:
-        for tok in tokens:  # name the first token int() rejects
-            try:
-                int(tok)
-            except ValueError:
-                raise NetFormatError(f"{what}: {tok!r} is not an integer", lineno)
-        raise
+        raise NetFormatError(f"{what}: {int_problem(tokens)}", lineno)
 
 
 def parse_instance(text: str) -> Instance:

@@ -4,10 +4,14 @@ The synthesis formula is a necessary condition on k: every k for which
 some threshold c makes (k, c) inductive for every transition and
 separating for the instance satisfies it, but a k that satisfies it may
 admit no such c. Synthesis and the no-separator verdict rely on this
-direction only; each candidate is then checked exactly. Atoms keep
-concrete integer coefficients so formulas can be both evaluated locally
-(exact arithmetic) and emitted as SMT-LIB2. There is no negation: every
-formula is atoms under conjunction and disjunction (negation normal form).
+direction only; each candidate is then checked exactly. It is the
+separation atom and one of three cases: k <= 0, k >= 0, or every
+transition oriented (see separator_formula). Each orthant keeps one span
+literal per place, because the other one implies k.delta > 0 there.
+Atoms keep concrete integer coefficients so formulas can be both evaluated
+locally (exact arithmetic) and emitted as SMT-LIB2. There is no negation:
+every formula is atoms under conjunction and disjunction (negation normal
+form).
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd
 from operator import mul, sub
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
-from .net import Instance, IntVector, Mode, Transition
+from .net import Instance, IntVector, Mode
 
 Formula = Union["Atom", "Conj", "Disj"]
 
@@ -87,23 +91,11 @@ def _unit(n: int, i: int, value: int = 1) -> IntVector:
     return tuple(v)
 
 
-class _SignParts(NamedTuple):
-    """Per-place pieces every transition of an n-place net shares."""
-
-    zeros: tuple[Atom, ...]  # k(i) = 0
-    nonneg: Conj  # k >= 0
-    nonpos: Conj  # k <= 0
-    sign_pure: Disj  # k >= 0 or k <= 0
-
-
 @cache
-def _sign_parts(n: int) -> _SignParts:
-    """Immutable, so one copy per arity serves every formula."""
+def _sign_parts(n: int) -> tuple[tuple[Atom, ...], ...]:
+    """The atoms k(i) = 0, k(i) >= 0 and k(i) <= 0; one copy per arity."""
     units = [_unit(n, i) for i in range(n)]
-    nonneg = Conj(tuple(Atom(e_i, ">=", 0) for e_i in units))
-    nonpos = Conj(tuple(Atom(e_i, "<=", 0) for e_i in units))
-    zeros = tuple(Atom(e_i, "=", 0) for e_i in units)
-    return _SignParts(zeros, nonneg, nonpos, Disj((nonneg, nonpos)))
+    return tuple(tuple(Atom(e_i, rel, 0) for e_i in units) for rel in ("=", ">=", "<="))
 
 
 def separation_condition(inst: Instance) -> Atom:
@@ -111,64 +103,59 @@ def separation_condition(inst: Instance) -> Atom:
     return Atom(tuple(map(sub, inst.m_init, inst.m_final)), ">", 0)
 
 
-def transition_options(inst: Instance, t: Transition) -> Disj:
-    """Ways a transition can admit a separating inductive threshold.
-
-    Either firing never lowers the product; or k <= 0 with the enabling
-    products strictly below k.m_init (a threshold just above them still
-    admits m_init); or k >= 0 with the fired products strictly above
-    k.m_final; or k is sign-pure and every nonzero |k(i)| spans the drop
-    -k.delta, which makes a non-trivial threshold exist.
-    """
-    return _options(inst, t, _sign_parts(inst.net.n))
-
-
-def _options(inst: Instance, t: Transition, shared: _SignParts) -> Disj:
-    # Instance has checked every arity, so plain elementwise maps suffice.
-    delta = t.delta
-    oriented = Atom(delta, ">=", 0)
-    antitone = Conj((shared.nonpos, Atom(tuple(map(sub, inst.m_init, t.pre)), ">", 0)))
-    monotone = Conj((shared.nonneg, Atom(tuple(map(sub, t.post, inst.m_final)), ">", 0)))
-    spans = []
-    for i, zero in enumerate(shared.zeros):
-        up = list(delta)
-        up[i] += 1  # k(i) >= -k.delta
-        down = list(delta)
-        down[i] -= 1  # -k(i) >= -k.delta
-        spans.append(Disj((zero, Atom(tuple(up), ">=", 0), Atom(tuple(down), ">=", 0))))
-    wide_enough = Conj(tuple(spans))
-    return Disj((oriented, antitone, monotone, Conj((shared.sign_pure, wide_enough))))
-
-
-def transition_formula(inst: Instance, t: Transition) -> Conj:
-    """Separation plus the admissibility disjunction for one transition."""
-    return Conj((separation_condition(inst), transition_options(inst, t)))
-
-
 def separator_formula(inst: Instance) -> Conj:
     """Necessary condition on k for a separating inductive threshold.
 
+    The separation atom and one of three cases:
+    1. k <= 0, and each transition is oriented (k.delta >= 0), or its
+       enabling products lie strictly below k.m_init (a threshold just
+       above them still admits m_init), or every k(i) is 0 or has
+       -k(i) >= -k.delta, which makes a non-trivial threshold exist;
+    2. k >= 0, mirrored: the fired products lie strictly above k.m_final,
+       or every k(i) is 0 or has k(i) >= -k.delta;
+    3. every transition is oriented, the only option of a mixed k.
+    With k(i) != 0 the other orthant's span literal implies k.delta > 0,
+    so it is left out. Cover mode keeps case 1 only: k <= 0 characterizes
+    half spaces disjoint from the whole upward closure of the target.
+
     Every k admitting such a threshold satisfies it; the converse fails,
     so a satisfying k still goes through generate_constants and the exact
-    checker, and a failed one is excluded by refinement. Cover mode
-    appends k <= 0, which characterizes half spaces disjoint from the
-    whole upward closure of the target.
+    checker, and a failed one is excluded by refinement.
     """
-    shared = _sign_parts(inst.net.n)
-    parts: list[Formula] = [separation_condition(inst)]
-    parts.extend(_options(inst, t, shared) for t in inst.net.transitions)
-    if inst.mode is Mode.COVER:
-        parts.append(shared.nonpos)
-    return Conj(tuple(parts))
+    return _cases(inst, spans=True)
 
 
 def trivial_separator_formula(inst: Instance) -> Conj:
-    """Fast-path variant: every transition must fall in a cheap case."""
-    full = separator_formula(inst).parts
-    m = len(inst.net.transitions)
-    # Drop each transition's non-trivial branch.
-    cheap = (Disj(opts.parts[:3]) for opts in full[1 : 1 + m])
-    return Conj((full[0], *cheap, *full[1 + m :]))
+    """Fast-path variant: the same cases without the span conjunctions."""
+    return _cases(inst, spans=False)
+
+
+def _cases(inst: Instance, spans: bool) -> Conj:
+    # Instance has checked every arity, so plain elementwise maps suffice.
+    zeros, nonneg, nonpos = _sign_parts(inst.net.n)
+    ts = inst.net.transitions
+    oriented = [Atom(t.delta, ">=", 0) for t in ts]
+
+    def orthant(signs, step: int, strict: list) -> list[Formula]:
+        parts: list[Formula] = list(signs)
+        for t, o, v in zip(ts, oriented, strict):
+            options: list[Formula] = [o, Atom(v, ">", 0)]
+            if spans:
+                wide = []
+                for i, zero in enumerate(zeros):
+                    span = list(t.delta)
+                    span[i] += step  # step * k(i) >= -k.delta
+                    wide.append(Disj((zero, Atom(tuple(span), ">=", 0))))
+                options.append(Conj(tuple(wide)))
+            parts.append(Disj(tuple(options)))
+        return parts
+
+    sep = separation_condition(inst)
+    below = orthant(nonpos, -1, [tuple(map(sub, inst.m_init, t.pre)) for t in ts])
+    if inst.mode is Mode.COVER:
+        return Conj((sep, *below))
+    above = orthant(nonneg, 1, [tuple(map(sub, t.post, inst.m_final)) for t in ts])
+    return Conj((sep, Disj((Conj(tuple(below)), Conj(tuple(above)), Conj(tuple(oriented))))))
 
 
 def bound_constraint(n: int, bound: int) -> Conj:

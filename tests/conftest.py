@@ -28,6 +28,17 @@ def two_place() -> Instance:
 
 
 @pytest.fixture
+def int_digit_limit():
+    """Python's default limit of 4300 digits per integer string, for one test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no integer digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
 def announce(capsys):
     """Print a line that survives pytest's capture."""
 

@@ -236,11 +236,18 @@ def test_builtin_backend_agrees_with_z3(monkeypatch):
         nontrivial_net(3),
         Instance(net, (2, 2), (2, 2), Mode.REACH),
         Instance(PetriNet(("p", "q"), ()), (1, 0), (0, 1), Mode.REACH),
+        # one per case of separator_formula: mixed k, k >= 0, k <= 0
+        random_instance(2, places=2),
+        random_instance(0, places=3),
+        random_instance(1, places=3, mode=Mode.COVER),
     ]
     native = [synthesize(inst, SolverConfig(command=("z3", "-in"))) for inst in instances]
 
     def no_external_solver():
         raise SolverNotFoundError("hidden for this test")
+
+    def l1(k):
+        return sum(map(abs, k))
 
     monkeypatch.setattr(solver_module, "discover_solver", no_external_solver)
     for inst, theirs in zip(instances, native):
@@ -249,6 +256,8 @@ def test_builtin_backend_agrees_with_z3(monkeypatch):
             assert ours.outcome is theirs.outcome
             if ours.outcome is Outcome.FOUND:
                 assert certify(inst, ours.halfspace).ok
+                if cfg.minimize:  # ties may differ, the least sum |k(i)| may not
+                    assert l1(ours.halfspace.k) == l1(theirs.halfspace.k), inst
 
 
 def test_certify_accepts_known_certificate():

@@ -106,6 +106,15 @@ def test_check_unparseable_vector_is_an_input_error(example_file, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_vector_entry_over_the_digit_limit_is_named_briefly(example_file, capsys, int_digit_limit):
+    code = main(["check", example_file, "--k", "1" * 5000 + ",2", "--c", "9"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "input error: cannot parse integer vector: '11111111111111111111'... has 5000"
+        " digits, over the limit sys.get_int_max_str_digits() = 4300\n"
+    )
+
+
 def test_missing_file_is_an_input_error(capsys):
     code = main(["check", "/no/such/file.net", "--k", "1", "--c", "0"])
     assert code == 3

@@ -89,6 +89,22 @@ def test_integer_tokens_are_what_int_accepts():
             parse_instance(f"places p\ninit {bad}\ntarget 0\n")
 
 
+def test_integer_over_the_digit_limit_is_named_briefly(int_digit_limit):
+    # int() refuses these valid integers only for their length; the message
+    # says so, counts the digits (no sign, no underscores) and quotes 20 chars.
+    limit = "over the limit sys.get_int_max_str_digits() = 4300"
+    cases = [
+        ("1" * 5000, f"'11111111111111111111'... has 5000 digits, {limit}"),
+        ("-" + "1_" * 4400 + "1", f"'-1_1_1_1_1_1_1_1_1_1'... has 4401 digits, {limit}"),
+    ]
+    for tok, problem in cases:
+        with pytest.raises(NetFormatError) as exc:
+            parse_instance(f"places p\ninit {tok}\ntarget 0\n")
+        assert (str(exc.value), exc.value.line) == (f"line 2: init: {problem}", 2)
+    at_limit = parse_instance("places p\ninit " + "1" * 4300 + "\ntarget 0\n")
+    assert at_limit.m_init == (int("1" * 4300),)
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = "\n# header\nplaces p\n\ntransition t pre 0 post 1\ninit 0\ntarget 2\n"
     inst = parse_instance(text)
@@ -165,6 +181,7 @@ SHAPE = "expected: transition <name> pre <2 ints> post <2 ints>"
         (P + "init 0 0\n\ninit 0 0\n", "line 4: duplicate init directive", 4),
         (P + "target 0 0\ntarget 0 0\n", "line 3: duplicate target directive", 3),
         (P + "init 0 0x1\n", "line 2: init: '0x1' is not an integer", 2),
+        (P + "init 0 " + "x" * 30 + "\n", "line 2: init: 'xxxxxxxxxxxxxxxxxxxx'... is not an integer", 2),
         (P + "target \u0663 a\n", "line 2: target: 'a' is not an integer", 2),
         (P + "init 0\n", "line 2: init has 1 entries, expected 2", 2),
         (P + "target 0 0 0\n", "line 2: target has 3 entries, expected 2", 2),

@@ -18,8 +18,6 @@ from petrisep.formula import (
     separation_condition,
     separator_formula,
     to_smt,
-    transition_formula,
-    transition_options,
     trivial_separator_formula,
 )
 
@@ -186,24 +184,11 @@ def test_separator_formula_smt_text_is_pinned():
         assert to_smt(separator_formula(inst), names) == expected[label], label
 
 
-def test_separator_formula_parts_are_the_transition_options():
-    for seed in range(40):
-        mode = Mode.REACH if seed % 2 else Mode.COVER
-        inst = random_instance(seed, places=1 + seed % 4, mode=mode)
-        parts = separator_formula(inst).parts
-        for i, t in enumerate(inst.net.transitions):
-            assert parts[1 + i] == transition_options(inst, t), (seed, t.name)
+def _options_reference(inst, k, spans: bool = True) -> bool:
+    """separator_formula's meaning in plain arithmetic, with no Atom built.
 
-
-def test_transition_formula_bundles_separation(two_place):
-    t = two_place.net.transitions[0]
-    f = transition_formula(two_place, t)
-    assert evaluate(f, (3, 2))
-    assert not evaluate(f, (1, 1))  # separation fails even though t is fine
-
-
-def _options_reference(inst, k) -> bool:
-    """separator_formula's meaning in plain arithmetic, with no Atom built."""
+    spans=False drops the sign-pure span option: trivial_separator_formula.
+    """
 
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
@@ -219,7 +204,7 @@ def _options_reference(inst, k) -> bool:
         oriented = drop <= 0
         antitone = nonpos and dot(k, t.pre) < dot(k, inst.m_init)
         monotone = nonneg and dot(k, t.post) > dot(k, inst.m_final)
-        wide_enough = all(x == 0 or abs(x) >= drop for x in k)
+        wide_enough = spans and all(x == 0 or abs(x) >= drop for x in k)
         if not (oriented or antitone or monotone or ((nonneg or nonpos) and wide_enough)):
             return False
     return True
@@ -232,9 +217,12 @@ def test_separator_formula_means_the_documented_options():
             places = 1 + seed % 4
             inst = random_instance(seed, places=places, mode=mode)
             f = separator_formula(inst)
+            triv = trivial_separator_formula(inst)
             for k in box(places, 2 if places == 4 else 3):
                 expected = _options_reference(inst, k)
                 assert evaluate(f, k) == expected, (seed, mode, k)
+                cheap = _options_reference(inst, k, spans=False)
+                assert evaluate(triv, k) == cheap, (seed, mode, k)
                 accepted += expected
                 rejected += not expected
     assert accepted > 500 and rejected > 500  # both sides are exercised
