@@ -5,7 +5,8 @@ thresholds decomposes into rays from the cheap sufficient conditions plus
 a finite patch of non-trivial values. The patch is bounded by a Frobenius
 argument on the nonzero entries of k, so it can be enumerated exactly:
 the attainable sums of those entries are closed under shifts of one
-big-integer bit set, and the gaps between them read off as a string.
+big-integer bit set, and the maximal runs of gaps between them read off
+as a string, so past the bit set the cost grows with the runs, not the gaps.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .intervals import IntervalSet
+from .intervals import IntervalSet, Span
 from .net import Instance, IntVector, Mode, Transition, dot
 
 
@@ -77,15 +78,16 @@ def frobenius_limit(k: Sequence[int]) -> int:
     return max(mags) * min(mags)
 
 
-def _gap_ends(coins: Sequence[int], width: int, first: int, last: int) -> list[int]:
-    """Offsets j in [first, last] (0 <= first) such that no non-negative
-    combination of coins lies in [j - width + 1, j].
+def _gap_runs(coins: Sequence[int], width: int, first: int, last: int) -> list[Span]:
+    """Maximal runs [a, b] of the offsets j in [first, last] (0 <= first)
+    such that no non-negative combination of coins lies in
+    [j - width + 1, j], in increasing order.
 
     Bit s of one Python int marks the attainable sums s <= last. Each coin
     closes it under adding multiples by shifts of doubling length, and the
     window is widened the same way, so the cost is O(len(coins) * log(last)
-    + log(width)) big-integer operations on last + 1 bits, plus one string
-    search per gap end.
+    + log(width)) big-integer operations on last + 1 bits, plus two string
+    searches per run, not one per gap offset.
     """
     mask = (1 << (last + 1)) - 1
     reach = 1
@@ -99,13 +101,70 @@ def _gap_ends(coins: Sequence[int], width: int, first: int, last: int) -> list[i
         step = min(span, width - span)
         covered |= (covered << step) & mask
         span += step
-    bits = format(covered | 1 << (last + 1), "b")[:0:-1]  # bits[j] is bit j
-    ends = []
+    # bits[j] is bit j; the set bit last + 1 closes a run that reaches last
+    bits = format(covered | 1 << (last + 1), "b")[::-1]
+    runs = []
     j = bits.find("0", first)
     while j >= 0:
-        ends.append(j)
-        j = bits.find("0", j + 1)
-    return ends
+        end = bits.find("1", j)
+        runs.append((j, end - 1))
+        j = bits.find("0", end)
+    return runs
+
+
+def _threshold_sets(
+    k: IntVector, transitions: Sequence[Transition], window: IntervalSet
+) -> list[IntervalSet]:
+    """Each transition's inductive thresholds inside window (all() or one
+    span), built canonical and clipped: the window when t is oriented,
+    empty for a sign-mixed k, else the clipped ray and gap runs."""
+    if not window.spans:
+        return [window] * len(transitions)
+    ((wlo, whi),) = window.spans
+    lo = -math.inf if wlo is None else wlo
+    hi = math.inf if whi is None else whi
+    kmin, kmax = min(k, default=0), max(k, default=0)
+    coins = sorted({abs(x) for x in k if x != 0})
+
+    def one(t: Transition) -> IntervalSet:
+        base, post_val = dot(k, t.pre), dot(k, t.post)
+        width = base - post_val
+        if width <= 0:
+            # Firing never lowers the product: inductive for every c.
+            return window
+        if kmin < 0 < kmax:
+            # Sign-mixed k with a product-decreasing transition: no c works.
+            return IntervalSet._canonical(())
+        limit = coins[0] * coins[-1]  # frobenius_limit(k)
+        if kmin >= 0:
+            top = min(post_val, hi)
+            ray = [(wlo, top)] if lo <= top else []
+            first, last = max(post_val + 1, lo), min(base + limit - 1, hi)
+        else:
+            bottom = max(base + 1, lo)
+            ray = [(bottom, whi)] if bottom <= hi else []
+            first, last = max(base - limit, lo), min(base, hi)
+        if width >= coins[0] or first > last:
+            # No candidate lies in the window, or every window this wide
+            # meets base moved by a multiple of the smallest coin: only the
+            # trivial ray is left. Returning here keeps the bit set below
+            # bounded by k, not by the flows.
+            return IntervalSet._canonical(ray)
+        # The candidate next to the ray (c = k.post + 1, or c = k.pre) has
+        # offset 0, which is attainable, so no run touches the ray.
+        if kmin >= 0:
+            # Attainable products are base + (combinations of coins); a
+            # candidate survives iff [c, c + width) misses them all, that
+            # is iff the offset window ending at c + shift does.
+            shift = width - 1 - base
+            runs = _gap_runs(coins, width, first + shift, last + shift)
+            return IntervalSet._canonical(ray + [(a - shift, b - shift) for a, b in runs])
+        # Products now descend from base by combinations of |coins|,
+        # and [c, c + width) is the offset window ending at base - c.
+        runs = _gap_runs(coins, width, base - last, base - first)
+        return IntervalSet._canonical([(base - b, base - a) for a, b in runs[::-1]] + ray)
+
+    return [one(t) for t in transitions]
 
 
 def generate_constants(
@@ -119,57 +178,8 @@ def generate_constants(
     also tightens the enumeration so wide windows stay cheap. Without one
     the complete (generally unbounded) set is returned.
     """
-    k = tuple(k)
-    base, post_val = dot(k, t.pre), dot(k, t.post)
-    kd = post_val - base
-
-    def finish(s: IntervalSet) -> IntervalSet:
-        if window is None:
-            return s
-        return s.clip(window[0], window[1])
-
-    if kd >= 0:
-        # Firing never lowers the product: inductive for every c.
-        return finish(IntervalSet.all())
-
-    width = -kd
-    kmin, kmax = min(k), max(k)  # k is not empty, since k.delta < 0
-    if kmin < 0 < kmax:
-        # Sign-mixed k with a product-decreasing transition: no c works.
-        return finish(IntervalSet.empty())
-
-    limit = frobenius_limit(k)
-    coins = sorted({abs(x) for x in k if x != 0})
-    result = IntervalSet.at_most(post_val) if kmin >= 0 else IntervalSet.at_least(base + 1)
-    if width >= coins[0]:
-        # Every window this wide meets base moved by a multiple of the
-        # smallest coin: only the trivial ray is left. Returning here keeps
-        # the bit set below bounded by k, not by the flows.
-        return finish(result)
-
-    if kmin >= 0:
-        cand_lo, cand_hi = post_val + 1, base + limit - 1
-        if window is not None:
-            cand_lo = max(cand_lo, window[0])
-            cand_hi = min(cand_hi, window[1])
-        if cand_lo <= cand_hi:
-            # Attainable products are base + (combinations of coins); a
-            # candidate survives iff [c, c + width) misses them all, that
-            # is iff the offset window ending at c + shift does.
-            shift = width - 1 - base
-            ends = _gap_ends(coins, width, cand_lo + shift, cand_hi + shift)
-            result = result.union(IntervalSet.of(*(j - shift for j in ends)))
-    else:
-        cand_lo, cand_hi = base - limit, base
-        if window is not None:
-            cand_lo = max(cand_lo, window[0])
-            cand_hi = min(cand_hi, window[1])
-        if cand_lo <= cand_hi:
-            # Products now descend from base by combinations of |coins|,
-            # and [c, c + width) is the offset window ending at base - c.
-            ends = _gap_ends(coins, width, base - cand_hi, base - cand_lo)
-            result = result.union(IntervalSet.of(*(base - j for j in ends)))
-    return finish(result)
+    clip = IntervalSet.all() if window is None else IntervalSet.between(*window)
+    return _threshold_sets(tuple(k), (t,), clip)[0]
 
 
 def separator_window(inst: Instance, k: Sequence[int]) -> tuple[int, int]:
@@ -209,12 +219,13 @@ def constants_for_instance(inst: Instance, k: Sequence[int]) -> ConstantsReport:
     if all(x == 0 for x in k):
         raise ValueError("zero coefficient vector cannot separate")
     lo, hi = separator_window(inst, k)
-    per = []
-    combined = IntervalSet.between(lo, hi) if lo <= hi else IntervalSet.empty()
-    for t in inst.net.transitions:
-        s = generate_constants(k, t, window=(lo, hi)) if lo <= hi else IntervalSet.empty()
-        per.append((t.name, s))
-        combined = combined.intersect(s)
+    window = IntervalSet.between(lo, hi)
+    sets = _threshold_sets(k, inst.net.transitions, window)
+    combined = window
+    for s in sets:
+        if s is not window:
+            combined = combined.intersect(s)
+    per = tuple((t.name, s) for t, s in zip(inst.net.transitions, sets))
     cover_ok = inst.mode is not Mode.COVER or all(x <= 0 for x in k)
     chosen = choose_constant(combined) if cover_ok else None
-    return ConstantsReport(k, (lo, hi), tuple(per), combined, chosen, cover_ok)
+    return ConstantsReport(k, (lo, hi), per, combined, chosen, cover_ok)

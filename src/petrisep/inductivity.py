@@ -243,10 +243,12 @@ def oracle_check_transition(
     that precedes the witness in grid order, plus the witness if there is
     one. The budget is still charged
     for the whole grid: OracleBudgetError is raised when (bound + 1)^n
-    exceeds max_points. Sign-mixed k is decided by a divisibility
-    argument instead, since no grid of that size is guaranteed to hold a
-    witness.
+    exceeds max_points, and ValueError when max_points is not positive.
+    Sign-mixed k is decided by a divisibility argument instead, since no
+    grid of that size is guaranteed to hold a witness.
     """
+    if max_points <= 0:
+        raise ValueError("oracle budget must be positive")
     k = tuple(k)
     base, kpost = dot(k, t.pre), dot(k, t.post)
     kmin, kmax = min(k, default=0), max(k, default=0)

@@ -52,6 +52,13 @@ class IntervalSet(JsonDoc):
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _canonical(cls, spans) -> "IntervalSet":
+        """Wrap spans already sorted, disjoint and non-adjacent, as is."""
+        result = object.__new__(cls)
+        object.__setattr__(result, "spans", tuple(spans))
+        return result
+
+    @classmethod
     def empty(cls) -> "IntervalSet":
         return cls(())
 
@@ -69,7 +76,7 @@ class IntervalSet(JsonDoc):
 
     @classmethod
     def between(cls, lo: int, hi: int) -> "IntervalSet":
-        return cls(((lo, hi),))
+        return cls._canonical(((lo, hi),) if lo <= hi else ())
 
     @classmethod
     def of(cls, *values: int) -> "IntervalSet":
@@ -120,7 +127,7 @@ class IntervalSet(JsonDoc):
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         # Merge-walk two canonical span lists: the overlaps come out sorted,
         # disjoint and non-adjacent (adjacent overlaps would need adjacent
-        # spans in an operand), so the result skips __post_init__.
+        # spans in an operand), so the result is canonical as built.
         a, b = self.spans, other.spans
         out: list[Span] = []
         i = j = 0
@@ -135,9 +142,7 @@ class IntervalSet(JsonDoc):
                 j += 1  # b's span ends first
             else:
                 i += 1
-        result = object.__new__(IntervalSet)
-        object.__setattr__(result, "spans", tuple(out))
-        return result
+        return IntervalSet._canonical(out)
 
     def clip(self, lo: int, hi: int) -> "IntervalSet":
         """Restrict to the bounded window [lo, hi]."""

@@ -1,10 +1,12 @@
 """Command-line behavior: outputs, exit codes, JSON, round trips."""
 
 import json
+import os
 import re
 import shlex
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -188,6 +190,16 @@ def test_oracle_budget_exhaustion_is_inconclusive(example_file, capsys):
     assert "rejected" in capsys.readouterr().err
 
 
+def test_oracle_nonpositive_budget_is_an_input_error(example_file, capsys):
+    for budget in ("0", "-5"):
+        code = main(["oracle", example_file, "--k", "3,2", "--c", "9", "--budget", budget])
+        captured = capsys.readouterr()
+        assert code == 3, budget
+        assert "input error: oracle budget must be positive" in captured.err
+        assert "rejected" not in captured.err
+        assert "transition" not in captured.out
+
+
 def test_explore_exit_codes(tmp_path, capsys):
     inconclusive = tmp_path / "pump.net"
     inconclusive.write_text(EXAMPLE)
@@ -330,6 +342,19 @@ def test_console_script_entry_point(example_file):
         timeout=120,
     )
     assert proc.returncode == 0
+    assert "certificate holds" in proc.stdout
+
+
+def test_python_dash_m_entry_point(example_file):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "petrisep", "check", example_file, "--k", "3,2", "--c", "9"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
     assert "certificate holds" in proc.stdout
 
 

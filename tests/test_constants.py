@@ -22,10 +22,11 @@ from petrisep import (
     gcd_vector,
     generate_constants,
     normalize_primitive,
+    random_instance,
     separator_window,
     verify_separator,
 )
-from petrisep.constants import _gap_ends
+from petrisep.constants import _gap_runs
 
 from conftest import two_place_instance
 
@@ -124,7 +125,7 @@ def test_generate_constants_matches_reference_on_random_cases():
 
 
 def reference_gap_ends(coins: list, width: int, first: int, last: int) -> list:
-    """_gap_ends from a list coin table and prefix counts, without recursion."""
+    """Gap offsets from a list coin table and prefix counts, without recursion."""
     reach = [False] * (last + 1)
     reach[0] = True
     for s in range(last + 1):
@@ -142,34 +143,61 @@ def reference_gap_ends(coins: list, width: int, first: int, last: int) -> list:
     ]
 
 
-def test_gap_ends_matches_list_table():
+def expand_runs(runs: list) -> list:
+    return [j for a, b in runs for j in range(a, b + 1)]
+
+
+def assert_maximal(runs: list, first: int, last: int) -> None:
+    assert all(first <= a <= b <= last for a, b in runs), (runs, first, last)
+    for prev, nxt in zip(runs, runs[1:]):
+        assert nxt[0] > prev[1] + 1, (prev, nxt)
+
+
+def test_gap_runs_match_list_table():
     rng = random.Random(707)
-    seen = {"wide": 0, "offset": 0, "single": 0, "gaps": 0}
+    seen = {"wide": 0, "offset": 0, "single": 0, "gaps": 0, "runs": 0, "to_last": 0}
     for _ in range(2_000):
         coins = sorted({rng.randint(1, rng.choice((3, 12, 60, 300)))
                         for _ in range(rng.randint(1, 4))})
         last = rng.randint(0, rng.choice((10, 200, 1_000)))
         width = rng.choice((1, 2, 3, 7, 64, 100, rng.randint(1, 300)))
         first = rng.choice((0, rng.randint(0, last), last))
-        got = _gap_ends(coins, width, first, last)
-        assert got == reference_gap_ends(coins, width, first, last), (
+        runs = _gap_runs(coins, width, first, last)
+        ends = expand_runs(runs)
+        assert ends == reference_gap_ends(coins, width, first, last), (
             coins, width, first, last)
+        assert_maximal(runs, first, last)
         seen["wide"] += width > last
         seen["offset"] += 0 < first < last
         seen["single"] += first == last
-        seen["gaps"] += len(got) > 1
+        seen["gaps"] += len(ends) > 1
+        seen["runs"] += len(runs) > 1
+        seen["to_last"] += bool(runs) and runs[-1][1] == last
     assert min(seen.values()) > 100, seen
 
 
-def test_gap_ends_cost_grows_with_the_gaps_not_their_square():
-    # 198,765 gaps in 400,001 offsets: a read that rewrites the whole bit
+def test_gap_run_reaching_last_is_closed_at_last():
+    # coin 5, width 1: offsets 1-4 and 6-7 are gaps, and the second run
+    # is cut by last = 7, not by an attainable sum
+    assert _gap_runs((5,), 1, 0, 7) == [(1, 4), (6, 7)]
+    assert _gap_runs((5,), 1, 6, 7) == [(6, 7)]
+    assert _gap_runs((5,), 1, 7, 7) == [(7, 7)]
+    assert _gap_runs((5,), 1, 0, 9) == [(1, 4), (6, 9)]
+    assert _gap_runs((5,), 1, 5, 5) == []
+    assert _gap_runs((3,), 2, 0, 5) == [(2, 2), (5, 5)]
+
+
+def test_gap_runs_cost_grows_with_the_runs_not_the_gaps():
+    # 198,765 gap offsets in 630 runs: a read that rewrites the whole bit
     # set for each gap it reports (a low-bit loop) takes seconds here.
     start = time.perf_counter()
-    ends = _gap_ends((631, 632), 1, 0, 400_000)
+    runs = _gap_runs((631, 632), 1, 0, 400_000)
     assert time.perf_counter() - start < 2.0
-    assert len(ends) == 198_765
-    assert ends[:3] == [1, 2, 3]
-    assert ends[-1] == 631 * 632 - 631 - 632  # the Frobenius number
+    assert len(runs) == 630
+    assert sum(b - a + 1 for a, b in runs) == 198_765
+    assert_maximal(runs, 0, 400_000)
+    assert runs[0] == (1, 630)
+    assert runs[-1] == (631 * 632 - 631 - 632,) * 2  # the Frobenius number
 
 
 def test_generate_constants_cost_does_not_grow_with_the_flows():
@@ -188,6 +216,81 @@ def test_generate_constants_cost_does_not_grow_with_the_flows():
     up = Transition("u", (0, 0), (w, 0))
     assert generate_constants((-1, -3), up) == IntervalSet.at_least(1)
     assert generate_constants((-1, -3), up, window=(-w, w)) == IntervalSet.between(1, w)
+
+
+def test_constants_for_large_k_cost_grows_with_the_runs():
+    # 4.5 million gap offsets of <3000, 3001> fall into 2,999 runs; one
+    # span per offset took seconds and a gigabyte here.
+    t = Transition("t", (1, 0), (0, 1))
+    inst = Instance(PetriNet(("p", "q"), (t,)), (3000, 0), (0, 0), Mode.REACH)
+    start = time.perf_counter()
+    report = constants_for_instance(inst, (3001, 3000))
+    assert time.perf_counter() - start < 2.0
+    assert report.window == (1, 9_003_000)
+    assert report.chosen == 9_000_000  # k.pre + the Frobenius number
+    assert len(report.combined.spans) == 3_000
+    assert report.combined.spans[:2] == ((1, 3000), (3002, 6000))
+    assert report.per_transition == (("t", report.combined),)
+
+
+def token_moving_instance(rng: random.Random, places: int, mode: Mode) -> Instance:
+    """Transitions that each move one token, so a k with close large
+    entries has a drop below min |k(i)| and the sets have gap runs."""
+    ts = []
+    for n in range(rng.randint(1, 3)):
+        pre = [rng.randint(0, 2) for _ in range(places)]
+        i, j = rng.sample(range(places), 2)
+        pre[i] += 1
+        post = list(pre)
+        post[i] -= 1
+        post[j] += 1
+        ts.append(Transition(f"t{n}", tuple(pre), tuple(post)))
+    m0, mf = (tuple(rng.randint(0, 6) for _ in range(places)) for _ in range(2))
+    names = tuple(f"p{i}" for i in range(places))
+    return Instance(PetriNet(names, tuple(ts)), m0, mf, mode)
+
+
+def test_constants_for_instance_agrees_with_generate_constants():
+    # per_transition is generate_constants on the window, combined is the
+    # window intersected with each set, and every set is canonical as built
+    rng = random.Random(1717)
+    seen = {"empty_window": 0, "chosen": 0, "cover": 0, "mixed": 0, "runs": 0}
+    for seed in range(1200):
+        mode = rng.choice((Mode.REACH, Mode.COVER))
+        shape = rng.randrange(3)
+        if shape < 2:
+            places = rng.randint(1, 4)
+            inst = random_instance(seed, places, rng.randint(1, 4), mode=mode)
+            if shape == 0:  # often sign-mixed
+                k = tuple(rng.randint(-7, 7) for _ in range(places))
+            else:
+                k = random_unmixed(rng, places)
+        else:
+            places = rng.randint(2, 4)
+            inst = token_moving_instance(rng, places, mode)
+            a, sign = rng.randint(3, 20), rng.choice((1, -1))
+            k = tuple(sign * rng.randint(a, a + 3) for _ in range(places))
+        if all(x == 0 for x in k):
+            continue
+        report = constants_for_instance(inst, k)
+        lo, hi = report.window
+        combined = IntervalSet.between(lo, hi)
+        for t, (name, s) in zip(inst.net.transitions, report.per_transition):
+            assert name == t.name
+            assert s == generate_constants(k, t, window=(lo, hi)), (seed, k, t)
+            unclipped = generate_constants(k, t)
+            for x in (s, unclipped):
+                assert IntervalSet(x.spans) == x, (seed, k, t, x)
+            assert s == unclipped.clip(lo, hi), (seed, k, t)
+            combined = combined.intersect(s)
+        assert report.combined == combined, (seed, k)
+        assert IntervalSet(report.combined.spans) == report.combined
+        seen["empty_window"] += lo > hi
+        seen["chosen"] += report.chosen is not None
+        seen["cover"] += mode is Mode.COVER
+        seen["mixed"] += min(k) < 0 < max(k)
+        seen["runs"] += any(len(s.spans) > 1 for _, s in report.per_transition)
+    assert min(seen.values()) > 30, seen
 
 
 def test_generate_constants_oriented_keeps_everything():
