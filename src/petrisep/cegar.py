@@ -136,21 +136,21 @@ def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisRe
             )
         return hs, sep, chk
 
-    # One problem: the necessary condition over k, unconstrained.
     session.begin(n)
-    session.add(separator_formula(inst))
-
-    # Fast path: a vector trivial for every transition. The trivial formula
-    # implies the separator formula, so it is a scoped probe of the same
-    # problem. When it is satisfiable a workable threshold always exists,
-    # so the exact generator below cannot come back empty.
+    # Fast path: a vector trivial for every transition, probed in a scope
+    # before the base goes in. The trivial formula implies the separator
+    # formula, so the base would only add work to this query. When it is
+    # satisfiable a workable threshold always exists, so the exact
+    # generator below cannot come back empty.
     model = session.check([trivial_separator_formula(inst)])
     if model is not None:
         got = attempt(model)
         if got is not None:
             return finish(Outcome.FOUND, *got, fast=True)
 
-    # Unsat here is a proof that no separating inductive half space exists.
+    # One problem: the necessary condition over k, unconstrained. Unsat
+    # here is a proof that no separating inductive half space exists.
+    session.add(separator_formula(inst))
     if session.check() is None:
         return finish(Outcome.NO_SEPARATOR)
 

@@ -101,14 +101,14 @@ def _gap_runs(coins: Sequence[int], width: int, first: int, last: int) -> list[S
         step = min(span, width - span)
         covered |= (covered << step) & mask
         span += step
-    # bits[j] is bit j; the set bit last + 1 closes a run that reaches last
-    bits = format(covered | 1 << (last + 1), "b")[::-1]
-    runs = []
-    j = bits.find("0", first)
-    while j >= 0:
-        end = bits.find("1", j)
-        runs.append((j, end - 1))
-        j = bits.find("0", end)
+    # bits[top - j] is bit j; the set bit top (bits[0]) closes a run that reaches last
+    top = last + 1
+    bits = format(covered | 1 << top, "b")
+    runs, i = [], bits.rfind("0", 0, top - first + 1)
+    while i >= 0:
+        end = bits.rfind("1", 0, i)
+        runs.append((top - i, top - end - 1))
+        i = bits.rfind("0", 0, end)
     return runs
 
 

@@ -26,7 +26,7 @@ SolverUnknownError when the search had to give up somewhere.
   bound.
 - Before branching on a fractional point, the pinned forms (lower bound
   equal to upper bound) are tested for an integer solution by column
-  Hermite reduction, which refutes parity conflicts such as 2 x - 6 y = 3
+  Hermite reduction, which refutes parity conflicts such as x = 2 y = 2 z + 1
   that branch and bound alone would chase forever in an unbounded region.
 - Minimization adds a(i) >= |k(i)| and caps sum a(i) at one below the best
   model so far, so once a model exists the rest of the search runs inside

@@ -6,12 +6,11 @@ separating for the instance satisfies it, but a k that satisfies it may
 admit no such c. Synthesis and the no-separator verdict rely on this
 direction only; each candidate is then checked exactly. It is the
 separation atom and one of three cases: k <= 0, k >= 0, or every
-transition oriented (see separator_formula). Each orthant keeps one span
-literal per place, because the other one implies k.delta > 0 there.
-Atoms keep concrete integer coefficients so formulas can be both evaluated
-locally (exact arithmetic) and emitted as SMT-LIB2. There is no negation:
-every formula is atoms under conjunction and disjunction (negation normal
-form).
+transition oriented (see separator_formula), with no condition that the
+others already imply and no equality. Atoms keep concrete integer
+coefficients so formulas can be both evaluated locally (exact arithmetic)
+and emitted as SMT-LIB2. There is no negation: every formula is atoms
+under conjunction and disjunction (negation normal form).
 """
 
 from __future__ import annotations
@@ -93,9 +92,9 @@ def _unit(n: int, i: int, value: int = 1) -> IntVector:
 
 @cache
 def _sign_parts(n: int) -> tuple[tuple[Atom, ...], ...]:
-    """The atoms k(i) = 0, k(i) >= 0 and k(i) <= 0; one copy per arity."""
+    """The atoms k(i) >= 0 and k(i) <= 0; one copy per arity."""
     units = [_unit(n, i) for i in range(n)]
-    return tuple(tuple(Atom(e_i, rel, 0) for e_i in units) for rel in ("=", ">=", "<="))
+    return tuple(tuple(Atom(e_i, rel, 0) for e_i in units) for rel in (">=", "<="))
 
 
 def separation_condition(inst: Instance) -> Atom:
@@ -107,16 +106,17 @@ def separator_formula(inst: Instance) -> Conj:
     """Necessary condition on k for a separating inductive threshold.
 
     The separation atom and one of three cases:
-    1. k <= 0, and each transition is oriented (k.delta >= 0), or its
-       enabling products lie strictly below k.m_init (a threshold just
-       above them still admits m_init), or every k(i) is 0 or has
-       -k(i) >= -k.delta, which makes a non-trivial threshold exist;
+    1. k <= 0, and each transition's enabling products lie strictly
+       below k.m_init (a threshold just above them still admits m_init),
+       or every k(i) is 0 (written k(i) >= 0) or has -k(i) >= -k.delta,
+       which makes a non-trivial threshold exist;
     2. k >= 0, mirrored: the fired products lie strictly above k.m_final,
-       or every k(i) is 0 or has k(i) >= -k.delta;
+       or every k(i) is 0 (written k(i) <= 0) or has k(i) >= -k.delta;
     3. every transition is oriented, the only option of a mixed k.
-    With k(i) != 0 the other orthant's span literal implies k.delta > 0,
-    so it is left out. Cover mode keeps case 1 only: k <= 0 characterizes
-    half spaces disjoint from the whole upward closure of the target.
+    An oriented transition (k.delta >= 0) meets every span literal of a
+    sign-pure k; with k(i) != 0 the other orthant's span literal implies
+    k.delta > 0. Neither is stated. Cover mode keeps case 1 only: k <= 0
+    characterizes half spaces disjoint from the target's upward closure.
 
     Every k admitting such a threshold satisfies it; the converse fails,
     so a satisfying k still goes through generate_constants and the exact
@@ -126,35 +126,35 @@ def separator_formula(inst: Instance) -> Conj:
 
 
 def trivial_separator_formula(inst: Instance) -> Conj:
-    """Fast-path variant: the same cases without the span conjunctions."""
+    """Fast-path variant: each orthant transition oriented or strict, no spans."""
     return _cases(inst, spans=False)
 
 
 def _cases(inst: Instance, spans: bool) -> Conj:
     # Instance has checked every arity, so plain elementwise maps suffice.
-    zeros, nonneg, nonpos = _sign_parts(inst.net.n)
+    nonneg, nonpos = _sign_parts(inst.net.n)
     ts = inst.net.transitions
     oriented = [Atom(t.delta, ">=", 0) for t in ts]
 
-    def orthant(signs, step: int, strict: list) -> list[Formula]:
+    def orthant(signs, others, step: int, strict: list) -> list[Formula]:
         parts: list[Formula] = list(signs)
         for t, o, v in zip(ts, oriented, strict):
-            options: list[Formula] = [o, Atom(v, ">", 0)]
+            options = (o, Atom(v, ">", 0))
             if spans:
                 wide = []
-                for i, zero in enumerate(zeros):
+                for i, other in enumerate(others):
                     span = list(t.delta)
                     span[i] += step  # step * k(i) >= -k.delta
-                    wide.append(Disj((zero, Atom(tuple(span), ">=", 0))))
-                options.append(Conj(tuple(wide)))
-            parts.append(Disj(tuple(options)))
+                    wide.append(Disj((other, Atom(tuple(span), ">=", 0))))
+                options = (options[1], Conj(tuple(wide)))
+            parts.append(Disj(options))
         return parts
 
     sep = separation_condition(inst)
-    below = orthant(nonpos, -1, [tuple(map(sub, inst.m_init, t.pre)) for t in ts])
+    below = orthant(nonpos, nonneg, -1, [tuple(map(sub, inst.m_init, t.pre)) for t in ts])
     if inst.mode is Mode.COVER:
         return Conj((sep, *below))
-    above = orthant(nonneg, 1, [tuple(map(sub, t.post, inst.m_final)) for t in ts])
+    above = orthant(nonneg, nonpos, 1, [tuple(map(sub, t.post, inst.m_final)) for t in ts])
     return Conj((sep, Disj((Conj(tuple(below)), Conj(tuple(above)), Conj(tuple(oriented))))))
 
 

@@ -26,6 +26,7 @@ from petrisep import (
     synthesize,
     verify_separator,
 )
+from petrisep import exact
 from petrisep import solver as solver_module
 from petrisep.cegar import initial_bound
 from petrisep.formula import is_multiple_of
@@ -192,6 +193,23 @@ def test_builtin_backend_deadline_raises_timeout(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path))
     with pytest.raises(SolverTimeoutError, match="built-in backend ran out of time"):
         synthesize(nontrivial_net(6), SolverConfig(timeout_ms=20))
+
+
+def test_builtin_search_effort_on_nontrivial_net_6(tmp_path, monkeypatch):
+    # About 1,600 search nodes here. Options that the orthant's sign atoms
+    # already imply, or k(i) = 0 written as an equality, make it about
+    # twelve times as many.
+    monkeypatch.setenv("PATH", str(tmp_path))  # hides any native z3
+    node, nodes = exact._Search._node, [0]
+
+    def counted(self, *args):
+        nodes[0] += 1
+        return node(self, *args)
+
+    monkeypatch.setattr(exact._Search, "_node", counted)
+    result = synthesize(nontrivial_net(6))
+    assert result.outcome is Outcome.FOUND
+    assert nodes[0] <= 4_000
 
 
 def test_minimize_toggle_does_not_change_verdicts(two_place):

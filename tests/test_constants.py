@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -220,12 +221,21 @@ def test_generate_constants_cost_does_not_grow_with_the_flows():
 
 def test_constants_for_large_k_cost_grows_with_the_runs():
     # 4.5 million gap offsets of <3000, 3001> fall into 2,999 runs; one
-    # span per offset took seconds and a gigabyte here.
+    # span per offset took seconds and a gigabyte here. The runs are read
+    # from one string of the 9-million-bit set; a reversed copy of it
+    # would lift the peak to about 20 MB.
     t = Transition("t", (1, 0), (0, 1))
     inst = Instance(PetriNet(("p", "q"), (t,)), (3000, 0), (0, 0), Mode.REACH)
-    start = time.perf_counter()
-    report = constants_for_instance(inst, (3001, 3000))
-    assert time.perf_counter() - start < 2.0
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = constants_for_instance(inst, (3001, 3000))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0
+    assert peak < 16_000_000
     assert report.window == (1, 9_003_000)
     assert report.chosen == 9_000_000  # k.pre + the Frobenius number
     assert len(report.combined.spans) == 3_000

@@ -303,6 +303,15 @@ def test_builtin_search_that_gives_up_is_never_unsat():
         assert model is not None and all(evaluate(f, model) for f in system), minimize
 
 
+def test_builtin_lattice_check_refutes_a_parity_conflict():
+    # x = 2 y and x = 2 z + 1 have rational points but no integer one; each
+    # form alone has one, so only the Hermite check on the pinned forms
+    # (not gcd tightening) ends the branch and bound here.
+    system = [Atom((1, -2, 0), "=", 0), Atom((1, 0, -2), "=", 1)]
+    for minimize in (True, False):
+        assert solve(system, 3, minimize, time.monotonic() + 60) is None, minimize
+
+
 def random_formula(rng, n, depth):
     if depth == 0 or rng.random() < 0.3:
         coeffs = tuple(rng.randint(-3, 3) for _ in range(n))
