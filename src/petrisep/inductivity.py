@@ -11,6 +11,7 @@ many classes however large c is.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -42,13 +43,18 @@ class TrivialFlags:
         return self.oriented or self.monotone or self.antitone
 
 
+# Every combination of the three flags, indexed oriented*4 + monotone*2 + antitone.
+_FLAGS = tuple(TrivialFlags(*f) for f in itertools.product((False, True), repeat=3))
+
+
 def _flags(c: int, kmin: int, kmax: int, kpre: int, kpost: int) -> TrivialFlags:
     """The trivial flags from min(k), max(k), k.pre and k.post.
 
     kmin and kmax are 0 for an empty k, which then counts as both k >= 0
     and k <= 0.
     """
-    return TrivialFlags(kpost >= kpre, kmin >= 0 and kpost >= c, kmax <= 0 and kpre < c)
+    return _FLAGS[(kpost >= kpre) * 4 + (kmin >= 0 and kpost >= c) * 2
+                  + (kmax <= 0 and kpre < c)]
 
 
 def classify_trivial(k: Sequence[int], c: int, t: Transition) -> TrivialFlags:
@@ -134,7 +140,7 @@ class TransitionCheck(JsonDoc):
     witness: Optional[IntVector] = None  # x >= 0 violating inductivity
     witness_value: Optional[int] = None  # k.(x + pre) for that x
     # check_transition: residue classes settled by the exact search;
-    # oracle_check_transition: grid points visited by the pruned walk.
+    # oracle_check_transition: grid points the row walk accounts for.
     sums_explored: int = 0
 
     def describe(self) -> str:
@@ -178,15 +184,17 @@ def check_transition(k: Sequence[int], c: int, t: Transition) -> TransitionCheck
     # offset least[r] + j*a is attainable too. Offsets past hi are pruned.
     coins = sorted({abs(x) for x in k if x != 0})
     a = coins[0]
+    # A residue is pushed only at a distance below its least so far, so a
+    # popped entry above least[r] is stale and each residue settles once.
     least = {0: 0}
     pred: dict[int, tuple[int, int]] = {}
-    settled: set[int] = set()
+    settled = 0
     heap = [(0, 0)]
     while heap:
         d, r = heapq.heappop(heap)
-        if r in settled:
+        if d > least[r]:
             continue
-        settled.add(r)
+        settled += 1
         s = max(d, lo)
         s += (d - s) % a  # least s >= max(d, lo) congruent to d mod a
         if s <= hi:
@@ -196,7 +204,7 @@ def check_transition(k: Sequence[int], c: int, t: Transition) -> TransitionCheck
                 r, coin = pred[r]
                 x[k.index(sign * coin)] += 1
             value = base + sign * s
-            return TransitionCheck(t.name, False, flags, tuple(x), value, len(settled))
+            return TransitionCheck(t.name, False, flags, tuple(x), value, settled)
         for coin in coins[1:]:
             nd = d + coin
             nr = nd % a
@@ -204,7 +212,7 @@ def check_transition(k: Sequence[int], c: int, t: Transition) -> TransitionCheck
                 least[nr] = nd
                 pred[nr] = (r, coin)
                 heapq.heappush(heap, (nd, nr))
-    return TransitionCheck(t.name, True, flags, sums_explored=len(settled))
+    return TransitionCheck(t.name, True, flags, sums_explored=settled)
 
 
 @dataclass(frozen=True)
@@ -235,15 +243,17 @@ def oracle_check_transition(
 
     Sign-pure k is enumerated over the [0, bound]^n grid in odometer order
     (a valid cutoff: partial sums move one way, so a witness needs at
-    most bound steps). The walk is pruned at the window's far end: once
-    raising a coordinate carries the sum past it, every larger value of
-    that coordinate is past it too, so the coordinate is reset and the
-    carry moves on; coordinates with k(i) = 0 stay at 0. sums_explored
-    counts the points visited: every such grid point short of the window
-    that precedes the witness in grid order, plus the witness if there is
-    one. The budget is still charged
-    for the whole grid: OracleBudgetError is raised when (bound + 1)^n
-    exceeds max_points, and ValueError when max_points is not positive.
+    most bound steps). A row of the grid is a run of the first coordinate
+    j with k(j) != 0, the later coordinates fixed, whose sums step by
+    |k(j)|; the walk takes each row in closed form, so its cost grows with
+    the rows, not the points. Past the window's far end every larger value
+    of a coordinate is past it too, so the carry resets that coordinate
+    and moves on; coordinates with k(i) = 0 stay at 0. sums_explored
+    counts the grid points the walk accounts for: every such point short
+    of the window that precedes the witness in grid order, plus the
+    witness if there is one. The budget is still charged for the whole
+    grid: OracleBudgetError is raised when (bound + 1)^n exceeds
+    max_points, and ValueError when max_points is not positive.
     Sign-mixed k is decided by a divisibility argument instead, since no
     grid of that size is guaranteed to hold a witness.
     """
@@ -265,33 +275,39 @@ def oracle_check_transition(
         # No witness inside a witness_bound box is guaranteed here, so
         # enumeration would be unsound; the verdict needs no witness.
         return TransitionCheck(t.name, False, flags)
-    lo, hi = c, c - kd
     n = len(k)
     b = _span(c, base, kpost)
-    if (b + 1) ** n > max_points:
-        raise OracleBudgetError(f"grid of {(b + 1) ** n} points exceeds budget")
+    # b + 1 first: for a huge bound, (b + 1)^n would be too long to build.
+    if b + 1 > max_points or (b + 1) ** n > max_points:
+        raise OracleBudgetError(f"grid of (bound + 1)^{n} points exceeds budget {max_points}")
 
-    up = kmin >= 0
-
-    def short(v: int) -> bool:
-        """v has not passed the window's far end."""
-        return v < hi if up else v >= lo
-
-    # Odometer enumeration, first coordinate fastest, with a running sum.
+    # Mirror k <= 0 so that sums rise towards the far end: with sign -1 the
+    # walk runs over -k from -k.pre, and the window [c, c - k.delta)
+    # becomes [1 - c + k.delta, 1 - c).
+    sign = 1 if kmin >= 0 else -1
+    ks = [sign * v for v in k]
+    near, far = (c, c - kd) if sign > 0 else (1 - c + kd, 1 - c)
+    j = next(i for i in range(n) if ks[i])
+    a = ks[j]
+    # Odometer enumeration by rows, first coordinate fastest; s is the
+    # sum at the current row's start, where x(j) = 0.
     x = [0] * n
-    s = base
+    s = sign * base
     count = 0
-    while short(s):
-        count += 1
-        if lo <= s < hi:
-            return TransitionCheck(t.name, False, flags, tuple(x), s, count)
-        for i in range(n):
-            if k[i] and x[i] < b:
+    while s < far:
+        m = max(0, -((s - near) // a))  # first step of the row at or past near
+        if m <= b and s + a * m < far:
+            x[j] = m
+            value = sign * (s + a * m)
+            return TransitionCheck(t.name, False, flags, tuple(x), value, count + m + 1)
+        count += min(b + 1, -((s - far) // a))  # the row's points short of far
+        for i in range(j + 1, n):
+            if ks[i] and x[i] < b:
                 x[i] += 1
-                s += k[i]
-                if short(s):
+                s += ks[i]
+                if s < far:
                     break
-            s -= x[i] * k[i]
+            s -= x[i] * ks[i]
             x[i] = 0
         else:
             break

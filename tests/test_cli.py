@@ -190,6 +190,22 @@ def test_oracle_budget_exhaustion_is_inconclusive(example_file, capsys):
     assert "rejected" in capsys.readouterr().err
 
 
+def test_grid_too_large_to_count_is_refused_not_an_input_error(tmp_path, capsys):
+    # (bound + 1)^2 has about 6000 digits, past what int -> str allows.
+    assert main(["gen", "ussp", "--w", "3,5", "--d", str(10**3000)]) == 0
+    text = capsys.readouterr().out
+    path = tmp_path / "ussp.net"
+    path.write_text(text)
+    c = re.search(r"c = (\d+) on this net", text).group(1)
+    code = main(["check", str(path), "--k", "3,5", "--c", c])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err  # 3 x + 5 y = 10^3000 is solvable
+    assert "transition t: NOT inductive" in captured.out
+    assert "oracle t:" not in captured.out and captured.err == ""
+    assert main(["oracle", str(path), "--k", "3,5", "--c", c]) == 2
+    assert "rejected: grid of (bound + 1)^2 points" in capsys.readouterr().err
+
+
 def test_oracle_nonpositive_budget_is_an_input_error(example_file, capsys):
     for budget in ("0", "-5"):
         code = main(["oracle", example_file, "--k", "3,2", "--c", "9", "--budget", budget])

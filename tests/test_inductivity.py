@@ -8,11 +8,14 @@ import pytest
 
 from petrisep import (
     HalfSpace,
+    Instance,
+    Mode,
     NetCheck,
     OracleBudgetError,
     StructureError,
     TransitionCheck,
     Transition,
+    certify,
     check_net,
     check_transition,
     classify_trivial,
@@ -312,6 +315,62 @@ def test_pruned_oracle_walk_cost_on_pinned_cases():
     r = oracle_check_transition((0, 0, -1), -38, Transition("t", (0, 0, 0), (0, 0, 1)))
     assert not r.inductive
     assert (r.witness, r.witness_value, r.sums_explored) == ((0, 0, 38), -38, 39)
+
+
+def test_oracle_row_walk_matches_the_whole_box():
+    # Up to four coordinates, often a zero coefficient ahead of the first
+    # moving one, and steps often wider than the window.
+    rng = random.Random(919)
+    seen = dict.fromkeys(("wide", "lead", "n4", "k >= 0", "k <= 0", "holds", "fails"), 0)
+    for _ in range(3000):
+        k, c, t = _small_sign_pure_case(rng)
+        sign = 1 if min(k) >= 0 else -1
+        if rng.random() < 0.5:
+            k, t = (0,) + k, Transition("t", (rng.randint(0, 2),) + t.pre,
+                                        (rng.randint(0, 2),) + t.post)
+        if rng.random() < 0.5:  # one more moving coordinate, off the transition
+            k, t = k + (sign * rng.randint(1, 15),), Transition("t", t.pre + (0,), t.post + (0,))
+        kd = dot(k, t.delta)
+        if kd >= 0:
+            continue
+        try:
+            r = oracle_check_transition(k, c, t, max_points=4000)
+        except OracleBudgetError:
+            continue
+        x, value, short = _box_oracle(k, c, t, witness_bound(k, c, t))
+        assert (r.inductive, r.witness, r.witness_value) == (x is None, x, value), (k, c, t)
+        assert r.sums_explored == short + (x is not None), (k, c, t)
+        seen["wide"] += next(abs(v) for v in k if v) > -kd
+        seen["lead"] += k[0] == 0
+        seen["n4"] += len(k) == 4
+        seen["k >= 0" if sign > 0 else "k <= 0"] += 1
+        seen["holds" if r.inductive else "fails"] += 1
+    assert min(seen.values()) >= 150, seen
+
+
+def test_oracle_refuses_a_grid_too_large_to_count():
+    # (bound + 1)^2 has about 6000 digits here, past what int -> str allows.
+    net, hs = ussp_halfspace((3, 5), 10**3000)
+    t = net.transitions[0]
+    with pytest.raises(OracleBudgetError, match="exceeds budget"):
+        oracle_check_transition(hs.k, hs.c, t)
+    report = certify(Instance(net, t.pre, t.post, Mode.REACH), hs)
+    assert report.oracle == (("t", None),)
+    [exact] = report.inductivity.per_transition
+    assert exact == check_transition(hs.k, hs.c, t) and not exact.inductive
+
+
+def test_check_transition_pinned_results():
+    net, hs = ussp_halfspace((23, 57), 396)  # 23 x + 57 y = 396 has no solution
+    cases = [
+        (hs.k, hs.c, net.transitions[0], (True, None, None, 7)),
+        ((24, 23, 14), 264, Transition("t", (1, 1, 3), (0, 2, 3)), (False, (4, 1, 4), 264, 14)),
+        ((-29, -26, -28), -391, Transition("t", (1, 3, 3), (2, 3, 2)),
+         (False, (6, 1, 0), -391, 18)),
+    ]
+    for k, c, t, expected in cases:
+        r = check_transition(k, c, t)
+        assert (r.inductive, r.witness, r.witness_value, r.sums_explored) == expected, k
 
 
 def test_transition_check_json_round_trip():
