@@ -10,7 +10,6 @@ separating inductive half space exists at all.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,7 +38,7 @@ class Outcome(Enum):
 class LoopBudget:
     max_iterations: int = 200
     max_seconds: float = 300.0
-    max_bound: Optional[int] = None  # cap for the |k(i)| search bound
+    max_bound: Optional[int] = None  # box |k(i)| <= max_bound on every candidate
 
     def __post_init__(self):
         if self.max_iterations < 1 or not self.max_seconds > 0:  # also rejects nan
@@ -53,7 +52,6 @@ class SynthesisStats(JsonDoc):
     iterations: int  # candidate vectors examined
     solver_queries: int
     wall_seconds: float
-    final_bound: Optional[int]  # bound in force when the loop stopped
     fast_path: bool  # certificate came from the all-trivial check
     examined: tuple[IntVector, ...]  # normalized candidates, in order
 
@@ -65,17 +63,6 @@ class SynthesisResult(JsonDoc):
     separator: Optional[SeparatorVerdict]
     inductivity: Optional[NetCheck] = field(metadata=key("transitions"))
     stats: SynthesisStats
-
-
-def initial_bound(inst: Instance) -> int:
-    """Starting cap on |k(i)|: at least 10, at least any instance entry."""
-    entries = [10]
-    entries.extend(inst.m_init)
-    entries.extend(inst.m_final)
-    for t in inst.net.transitions:
-        entries.extend(t.pre)
-        entries.extend(t.post)
-    return max(entries)
 
 
 def synthesize(
@@ -110,12 +97,11 @@ def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisRe
     n = inst.net.n
     examined: list[IntVector] = []
 
-    def finish(outcome, hs=None, sep=None, chk=None, bound=None, fast=False):
+    def finish(outcome, hs=None, sep=None, chk=None, fast=False):
         stats = SynthesisStats(
             len(examined),
             session.queries - q0,
             time.monotonic() - t0,
-            bound,
             fast,
             tuple(examined),
         )
@@ -148,33 +134,26 @@ def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisRe
         if got is not None:
             return finish(Outcome.FOUND, *got, fast=True)
 
-    # One problem: the necessary condition over k, unconstrained. Unsat
-    # here is a proof that no separating inductive half space exists.
+    # One problem: the necessary condition over k. Each check returns the
+    # model of least sum |k(i)|; an unsat without the box is a proof that
+    # no separating inductive half space exists.
     session.add(separator_formula(inst))
-    if session.check() is None:
-        return finish(Outcome.NO_SEPARATOR)
-
-    cap = budget.max_bound or math.inf
-    bound = min(initial_bound(inst), cap)
+    box = [bound_constraint(n, budget.max_bound)] if budget.max_bound else []
     while (
         len(examined) < budget.max_iterations
         and time.monotonic() - t0 < budget.max_seconds
     ):
-        model = session.check([bound_constraint(n, bound)])
-        if model is not None:
-            got = attempt(model)
-            if got is not None:
-                return finish(Outcome.FOUND, *got, bound=bound)
-            # No threshold for this vector: drop it and all its multiples.
-            session.add(exclude_multiples(examined[-1]))
-        else:
-            if session.check() is None:
-                # Even without the bound nothing is left.
-                return finish(Outcome.NO_SEPARATOR)
-            if bound >= cap:
-                return finish(Outcome.EXHAUSTED, bound=bound)
-            bound = min(2 * bound, cap)
-    return finish(Outcome.EXHAUSTED, bound=bound)
+        model = session.check(box)
+        if model is None:
+            if box and session.check() is not None:
+                return finish(Outcome.EXHAUSTED)  # models remain outside the box
+            return finish(Outcome.NO_SEPARATOR)
+        got = attempt(model)
+        if got is not None:
+            return finish(Outcome.FOUND, *got)
+        # No threshold for this vector: drop it and all its multiples.
+        session.add(exclude_multiples(examined[-1]))
+    return finish(Outcome.EXHAUSTED)
 
 
 @dataclass(frozen=True)

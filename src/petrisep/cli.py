@@ -85,11 +85,7 @@ def _write_json(target: Union[None, str, TextIO], doc) -> None:
 
 def _solver_config(args) -> SolverConfig:
     command = tuple(shlex.split(args.solver)) if args.solver else None
-    return SolverConfig(
-        command=command,
-        timeout_ms=args.timeout_ms,
-        minimize=args.minimize,
-    )
+    return SolverConfig(command=command, timeout_ms=args.timeout_ms)
 
 
 def _print_transition_lines(per_transition) -> None:
@@ -323,12 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout-ms", type=int, default=60_000, help="per solver query")
     p.add_argument("--max-iters", type=int, default=200, help="candidate vectors to try")
     p.add_argument("--max-seconds", type=float, default=300.0, help="total wall budget")
-    p.add_argument("--max-bound", type=int, default=None, help="cap on |k(i)|")
     p.add_argument(
-        "--minimize",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="ask the solver for small coefficient vectors",
+        "--max-bound", type=int, help="box |k(i)| <= MAX_BOUND on every candidate; exhausted if dry"
     )
     p.set_defaults(func=cmd_synthesize)
 

@@ -3,10 +3,10 @@
 SmtSession uses this when no external SMT solver is configured and no
 native z3 is on PATH, so synthesis runs with nothing but Python. Formulas
 are linear atoms over k under conjunction and disjunction, so the only
-integer unknowns are the k(i) themselves. It answers with an integer model
-(the one of least sum |k(i)| when asked to minimize), with None only when
-every branch of the search has been refuted exactly, and raises
-SolverUnknownError when the search had to give up somewhere.
+integer unknowns are the k(i) themselves. It answers with the integer model
+of least sum |k(i)|, with None only when every branch of the search has
+been refuted exactly, and raises SolverUnknownError when the search had to
+give up somewhere.
 
 - Every atom becomes literals a.x >= b: integer coefficients divided by
   their gcd, strict relations tightened to integers (a.x > b is
@@ -400,23 +400,21 @@ class _Found(Exception):
 
 
 class _Search:
-    def __init__(self, formulas, nk: int, minimize: bool, deadline: float):
+    def __init__(self, formulas, nk: int, deadline: float):
         self.nk = nk
-        self.minimize = minimize
         self.deadline = deadline
         self.root = _conj([_convert(f) for f in formulas])
         self.best: Optional[IntVector] = None
         self.best_sum: Optional[int] = None
         self.gave_up = False
         self._ticks = 0
-        self.lp = _Simplex(2 * nk if minimize else nk, self._tick)
-        if minimize:
-            # a(i) >= |k(i)|, and one unknown for sum a(i) to cap.
-            for i in range(nk):
-                a = nk + i
-                self.lp.assert_lower(self.lp.unknown(((i, -1), (a, 1))), 0)
-                self.lp.assert_lower(self.lp.unknown(((i, 1), (a, 1))), 0)
-            self.total = self.lp.unknown(tuple((nk + i, 1) for i in range(nk)))
+        self.lp = _Simplex(2 * nk, self._tick)
+        # a(i) >= |k(i)|, and one unknown for sum a(i) to cap.
+        for i in range(nk):
+            a = nk + i
+            self.lp.assert_lower(self.lp.unknown(((i, -1), (a, 1))), 0)
+            self.lp.assert_lower(self.lp.unknown(((i, 1), (a, 1))), 0)
+        self.total = self.lp.unknown(tuple((nk + i, 1) for i in range(nk)))
 
     def _tick(self) -> None:
         self._ticks += 1
@@ -460,7 +458,7 @@ class _Search:
         """Record a model; stop unless a smaller one may still exist."""
         total = sum(map(abs, k))
         self.best, self.best_sum = tuple(k), total
-        if not self.minimize or total == 0:
+        if total == 0:
             raise _Found
         self.lp.cap(self.total, total - 1)
 
@@ -517,18 +515,16 @@ class _Search:
             return
 
 
-def solve(
-    formulas: Sequence[Formula], nvars: int, minimize: bool, deadline: float
-) -> Optional[IntVector]:
+def solve(formulas: Sequence[Formula], nvars: int, deadline: float) -> Optional[IntVector]:
     """An integer model of all formulas over nvars unknowns, or None if none.
 
-    With minimize the model has the least sum |k(i)| (if the search gave up
-    on some path after finding a model, that model is returned, as an
-    external solver's minimization keeps its incumbent on 'unknown').
+    The model has the least sum |k(i)| (if the search gave up on some path
+    after finding a model, that model is returned, as an external solver's
+    minimization keeps its incumbent on 'unknown').
     Raises SolverTimeoutError past the monotonic-clock deadline and
     SolverUnknownError when no model was found and the search was incomplete.
     """
     try:
-        return _Search(formulas, nvars, minimize, deadline).run()
+        return _Search(formulas, nvars, deadline).run()
     except RecursionError:
         raise SolverUnknownError("built-in backend: formula nests too deeply")

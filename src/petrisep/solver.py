@@ -60,7 +60,6 @@ class SolverUnknownError(SolverError):
 class SolverConfig:
     command: Optional[tuple[str, ...]] = None  # None: discover automatically
     timeout_ms: int = 15_000  # per solver query
-    minimize: bool = True  # shrink the |k| sum of each model before use
 
     def __post_init__(self):
         # The pipe's queue.get cannot wait past threading.TIMEOUT_MAX
@@ -184,12 +183,12 @@ class SmtSession:
     def check(self, extra: Sequence[Formula] = ()) -> Optional[IntVector]:
         """Decide base + extra. Returns a k-vector or None for unsat.
 
-        With minimization enabled the returned model has the least sum of
-        |k(i)| the backend could establish. An external solver gets a
-        binary search over plain check-sat queries with that sum capped (no
-        optimizing solver needed); a probe answering 'unknown' ends the
-        search and the incumbent is kept. The built-in backend searches
-        with the sum capped below its incumbent.
+        The returned model has the least sum of |k(i)| the backend could
+        establish. An external solver gets a binary search over plain
+        check-sat queries with that sum capped (no optimizing solver
+        needed); a probe answering 'unknown' ends the search and the
+        incumbent is kept. The built-in backend searches with the sum
+        capped below its incumbent.
         """
         if not self._names:
             raise SolverError("call begin() before check()")
@@ -199,7 +198,7 @@ class SmtSession:
             from .exact import solve  # not at the top: exact imports the errors above
 
             deadline = time.monotonic() + self.cfg.timeout_ms / 1000.0
-            model = solve(self._base + extra, len(self._names), self.cfg.minimize, deadline)
+            model = solve(self._base + extra, len(self._names), deadline)
         else:
             asserts = [f"(assert {to_smt(f, self._names)})" for f in extra]
             model = self._scoped(asserts, self._minimized)
@@ -244,7 +243,7 @@ class SmtSession:
         push/pop frame.
         """
         best = self._plain_check()
-        if best is None or not self.cfg.minimize:
+        if best is None:
             return best
         lo, hi = 0, sum(map(abs, best)) - 1
         while lo <= hi:

@@ -28,7 +28,6 @@ from petrisep import (
 )
 from petrisep import exact
 from petrisep import solver as solver_module
-from petrisep.cegar import initial_bound
 from petrisep.formula import is_multiple_of
 from petrisep.solver import SolverNotFoundError, SolverTimeoutError
 
@@ -47,16 +46,8 @@ def test_loop_budget_validation():
         LoopBudget(max_bound=0)
 
 
-def test_initial_bound_covers_instance_entries():
-    assert initial_bound(two_place_instance()) == 10
-    big = Instance(
-        PetriNet(("p",), (Transition("t", (25,), (0,)),)), (30,), (0,), Mode.REACH
-    )
-    assert initial_bound(big) == 30
-
-
 def test_stats_json_round_trip():
-    stats = SynthesisStats(3, 17, 0.5, 20, False, ((1, -2), (3, 4)))
+    stats = SynthesisStats(3, 17, 0.5, False, ((1, -2), (3, 4)))
     assert SynthesisStats.from_json(stats.to_json()) == stats
 
 
@@ -70,8 +61,20 @@ def test_synthesize_running_example(two_place):
     # independent re-check, not trusting the stored verdicts
     assert verify_separator(two_place, hs).ok
     assert check_net(two_place.net, hs).inductive
-    assert result.stats.solver_queries > 0
+    # the fast-path probe, then one check per candidate and no other query
+    assert not result.stats.fast_path and result.stats.iterations == 5
+    assert result.stats.solver_queries == result.stats.iterations + 1
     assert result.stats.wall_seconds >= 0
+
+
+def test_candidates_are_examined_in_order_of_least_absolute_sum():
+    # each check returns the least sum |k(i)| under a growing set of
+    # exclusions, so the sums never fall, even past a large single entry
+    result = synthesize(random_instance(819), budget=LoopBudget(max_iterations=40))
+    assert result.outcome is Outcome.EXHAUSTED
+    sums = [sum(map(abs, k)) for k in result.stats.examined]
+    assert len(sums) == 40
+    assert sums == sorted(sums)
 
 
 def test_synthesize_result_json_round_trip(two_place):
@@ -180,7 +183,6 @@ def test_bound_cap_ends_the_search_as_exhausted():
     inst = nontrivial_net(3)
     capped = synthesize(inst, budget=LoopBudget(max_bound=2))
     assert capped.outcome is Outcome.EXHAUSTED
-    assert capped.stats.final_bound == 2
     assert capped.halfspace is None
     found = synthesize(inst, budget=LoopBudget(max_bound=3))
     assert found.outcome is Outcome.FOUND
@@ -210,14 +212,6 @@ def test_builtin_search_effort_on_nontrivial_net_6(tmp_path, monkeypatch):
     result = synthesize(nontrivial_net(6))
     assert result.outcome is Outcome.FOUND
     assert nodes[0] <= 4_000
-
-
-def test_minimize_toggle_does_not_change_verdicts(two_place):
-    for cfg in (SolverConfig(), SolverConfig(minimize=False)):
-        result = synthesize(two_place, cfg)
-        assert result.outcome is Outcome.FOUND
-        assert verify_separator(two_place, result.halfspace).ok
-        assert check_net(two_place.net, result.halfspace).inductive
 
 
 def test_no_separator_is_never_answered_when_a_box_certificate_exists():
@@ -269,13 +263,12 @@ def test_builtin_backend_agrees_with_z3(monkeypatch):
 
     monkeypatch.setattr(solver_module, "discover_solver", no_external_solver)
     for inst, theirs in zip(instances, native):
-        for cfg in (SolverConfig(), SolverConfig(minimize=False)):
-            ours = synthesize(inst, cfg)
-            assert ours.outcome is theirs.outcome
-            if ours.outcome is Outcome.FOUND:
-                assert certify(inst, ours.halfspace).ok
-                if cfg.minimize:  # ties may differ, the least sum |k(i)| may not
-                    assert l1(ours.halfspace.k) == l1(theirs.halfspace.k), inst
+        ours = synthesize(inst, SolverConfig())
+        assert ours.outcome is theirs.outcome
+        if ours.outcome is Outcome.FOUND:
+            assert certify(inst, ours.halfspace).ok
+            # ties may differ, the least sum |k(i)| may not
+            assert l1(ours.halfspace.k) == l1(theirs.halfspace.k), inst
 
 
 def test_certify_accepts_known_certificate():

@@ -271,6 +271,11 @@ def test_usage_errors_keep_argparse_exit_code(example_file):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["nonsense"])
+    # every check returns a least model; there is no switch to turn that off
+    for flag in ("--minimize", "--no-minimize"):
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", example_file, flag])
+        assert exc.value.code == 2
 
 
 def test_synthesize_running_example_cli(example_file, capsys):

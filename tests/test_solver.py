@@ -131,19 +131,20 @@ def test_external_unknown_probe_keeps_the_incumbent(tmp_path):
 
 def test_begin_resets_a_live_external_session(tmp_path):
     log = tmp_path / "reset.log"
-    cfg = SolverConfig(command=fake_smt_command(log, "--models", "6,4", "3,2"), minimize=False)
+    cfg = SolverConfig(command=fake_smt_command(log, "--models", "6,4", "3,2"))
     with SmtSession(cfg) as s:
         s.begin(2)
         for f in PROPORTION:
             s.add(f)
         # a cap at the base level outlives every pop; only (reset) clears it
-        s._send(s._cap_assert(5))
-        assert s.check() == (3, 2)
+        s._send(s._cap_assert(4))
+        assert s.check() is None
         s.begin(2)
         for f in PROPORTION:
             s.add(f)
-        assert s.check() == (6, 4)
-    assert log.read_text().split() == ["spawn"] + ["check-sat"] * 2
+        assert s.check() == (3, 2)
+    # one unsat check; then (6,4) and the probes at caps 4 (unsat) and 7
+    assert log.read_text().split() == ["spawn"] + ["check-sat"] * 4
 
 
 def test_external_solver_exit_reports_its_last_stderr_line(tmp_path):
@@ -162,14 +163,15 @@ def test_add_before_begin_raises_on_both_backends(tmp_path, monkeypatch):
     monkeypatch.setattr(solver_module.shutil, "which", lambda name: None)
     log = tmp_path / "fake.log"
     pipe = fake_smt_command(log, "--models", "4")
-    for cfg in (SolverConfig(minimize=False), SolverConfig(pipe, minimize=False)):
+    for cfg in (SolverConfig(), SolverConfig(pipe)):
         with SmtSession(cfg) as s:
             with pytest.raises(SolverError, match=r"call begin\(\) before add\(\)"):
                 s.add(Atom((1,), "=", 4))
             s.begin(1)
             s.add(Atom((1,), "=", 4))
             assert s.check() == (4,)
-    assert log.read_text().split() == ["spawn", "check-sat"]
+    # (4,), then the probes at caps 1, 2 and 3, all unsat
+    assert log.read_text().split() == ["spawn"] + ["check-sat"] * 4
 
 
 # -- solving ------------------------------------------------------------
@@ -214,7 +216,7 @@ def test_minimization_finds_smallest_absolute_sum():
     expected = min(
         sum(abs(x) for x in k) for k in brute_force_models(base, 2, 30)
     )
-    with SmtSession(SolverConfig(minimize=True)) as s:
+    with SmtSession(SolverConfig()) as s:
         s.begin(2)
         for f in base:
             s.add(f)
@@ -265,16 +267,6 @@ def test_minimization_handles_disjunctions_and_negatives():
     assert sum(map(abs, model)) == expected == 6
 
 
-def test_no_minimize_still_satisfies():
-    base = [Atom((3, -2), ">", 4), Conj((Atom((0, 1), ">=", -10),))]
-    with SmtSession(SolverConfig(minimize=False)) as s:
-        s.begin(2)
-        for f in base:
-            s.add(f)
-        model = s.check()
-    assert all(evaluate(f, model) for f in base)
-
-
 def test_builtin_deeply_nested_formula_is_unknown(monkeypatch):
     monkeypatch.setattr(solver_module.shutil, "which", lambda name: None)
     f = Atom((1,), ">=", 0)
@@ -295,12 +287,11 @@ def test_builtin_search_that_gives_up_is_never_unsat():
         Atom((1, -4, -5, 3), "=", -3),
     ]
     assert all(evaluate(f, (-178, 112, -106, 31)) for f in system)
-    for minimize in (True, False):
-        try:
-            model = solve(system, 4, minimize, time.monotonic() + 60)
-        except SolverUnknownError:
-            continue
-        assert model is not None and all(evaluate(f, model) for f in system), minimize
+    try:
+        model = solve(system, 4, time.monotonic() + 60)
+    except SolverUnknownError:
+        return
+    assert model is not None and all(evaluate(f, model) for f in system)
 
 
 def test_builtin_lattice_check_refutes_a_parity_conflict():
@@ -308,8 +299,7 @@ def test_builtin_lattice_check_refutes_a_parity_conflict():
     # form alone has one, so only the Hermite check on the pinned forms
     # (not gcd tightening) ends the branch and bound here.
     system = [Atom((1, -2, 0), "=", 0), Atom((1, 0, -2), "=", 1)]
-    for minimize in (True, False):
-        assert solve(system, 3, minimize, time.monotonic() + 60) is None, minimize
+    assert solve(system, 3, time.monotonic() + 60) is None
 
 
 def random_formula(rng, n, depth):
