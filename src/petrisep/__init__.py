@@ -42,7 +42,6 @@ from .inductivity import (
     TrivialFlags,
     check_net,
     check_transition,
-    classify_trivial,
     is_mixed,
     mixed_counterexample,
     oracle_check_transition,
@@ -112,7 +111,6 @@ __all__ = [
     "check_net",
     "check_transition",
     "choose_constant",
-    "classify_trivial",
     "constants_for_instance",
     "discover_solver",
     "dot",

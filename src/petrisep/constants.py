@@ -134,7 +134,7 @@ def _threshold_sets(
             return window
         if kmin < 0 < kmax:
             # Sign-mixed k with a product-decreasing transition: no c works.
-            return IntervalSet._canonical(())
+            return IntervalSet()
         limit = coins[0] * coins[-1]  # frobenius_limit(k)
         if kmin >= 0:
             top = min(post_val, hi)
@@ -149,7 +149,7 @@ def _threshold_sets(
             # meets base moved by a multiple of the smallest coin: only the
             # trivial ray is left. Returning here keeps the bit set below
             # bounded by k, not by the flows.
-            return IntervalSet._canonical(ray)
+            return IntervalSet(tuple(ray))
         # The candidate next to the ray (c = k.post + 1, or c = k.pre) has
         # offset 0, which is attainable, so no run touches the ray.
         if kmin >= 0:
@@ -158,11 +158,11 @@ def _threshold_sets(
             # is iff the offset window ending at c + shift does.
             shift = width - 1 - base
             runs = _gap_runs(coins, width, first + shift, last + shift)
-            return IntervalSet._canonical(ray + [(a - shift, b - shift) for a, b in runs])
+            return IntervalSet(tuple(ray + [(a - shift, b - shift) for a, b in runs]))
         # Products now descend from base by combinations of |coins|,
         # and [c, c + width) is the offset window ending at base - c.
         runs = _gap_runs(coins, width, base - last, base - first)
-        return IntervalSet._canonical([(base - b, base - a) for a, b in runs[::-1]] + ray)
+        return IntervalSet(tuple([(base - b, base - a) for a, b in runs[::-1]] + ray))
 
     return [one(t) for t in transitions]
 

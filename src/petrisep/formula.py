@@ -202,20 +202,6 @@ def exclude_multiples(k_hat: Sequence[int]) -> Disj:
     return Disj(tuple(parts))
 
 
-def is_multiple_of(k: Sequence[int], k_hat: Sequence[int]) -> bool:
-    """Reference predicate: k == a * k_hat for some integer a >= 1."""
-    pivs = [(x, y) for x, y in zip(k, k_hat) if y != 0]
-    if not pivs:
-        return False
-    x0, y0 = pivs[0]
-    if x0 % y0 != 0:
-        return False
-    a = x0 // y0
-    if a < 1:
-        return False
-    return all(x == a * y for x, y in zip(k, k_hat))
-
-
 # -- SMT-LIB2 emission -------------------------------------------------
 
 

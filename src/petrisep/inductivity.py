@@ -57,17 +57,6 @@ def _flags(c: int, kmin: int, kmax: int, kpre: int, kpost: int) -> TrivialFlags:
                   + (kmax <= 0 and kpre < c)]
 
 
-def classify_trivial(k: Sequence[int], c: int, t: Transition) -> TrivialFlags:
-    """The cheap conditions of TrivialFlags, from one k.pre and one k.post.
-
-    k.delta is read as k.post - k.pre, and the sign conditions k >= 0 and
-    k <= 0 as min(k) >= 0 and max(k) <= 0. Raises StructureError when k
-    and t differ in length.
-    """
-    kpre, kpost = dot(k, t.pre), dot(k, t.post)
-    return _flags(c, min(k, default=0), max(k, default=0), kpre, kpost)
-
-
 def _span(c: int, kpre: int, kpost: int) -> int:
     """witness_bound from k.pre and k.post: the window is [c, c - k.delta)."""
     return abs(max(kpre, c - kpost + kpre) - min(kpre, c))
@@ -223,9 +212,6 @@ class NetCheck(JsonDoc):
     def inductive(self) -> bool:
         return all(r.inductive for r in self.per_transition)
 
-    def failing(self) -> list[TransitionCheck]:
-        return [r for r in self.per_transition if not r.inductive]
-
 
 def check_net(net: PetriNet, hs: HalfSpace) -> NetCheck:
     """Check inductivity of the half space against every transition."""
@@ -241,19 +227,20 @@ def oracle_check_transition(
 ) -> TransitionCheck:
     """Reference check, independent of check_transition.
 
-    Sign-pure k is enumerated over the [0, bound]^n grid in odometer order
-    (a valid cutoff: partial sums move one way, so a witness needs at
-    most bound steps). A row of the grid is a run of the first coordinate
-    j with k(j) != 0, the later coordinates fixed, whose sums step by
-    |k(j)|; the walk takes each row in closed form, so its cost grows with
-    the rows, not the points. Past the window's far end every larger value
-    of a coordinate is past it too, so the carry resets that coordinate
-    and moves on; coordinates with k(i) = 0 stay at 0. sums_explored
-    counts the grid points the walk accounts for: every such point short
-    of the window that precedes the witness in grid order, plus the
-    witness if there is one. The budget is still charged for the whole
-    grid: OracleBudgetError is raised when (bound + 1)^n exceeds
-    max_points, and ValueError when max_points is not positive.
+    Sign-pure k is enumerated over x >= 0 in odometer order, bounded by
+    the window's far end: partial sums move one way, so once a sum is
+    past it every larger value of a coordinate is past it too, and the
+    carry resets that coordinate and moves on. Every point the walk meets
+    thus lies in the [0, bound]^n grid of witness_bound. A row is a run
+    of the first coordinate j with k(j) != 0, the later coordinates
+    fixed, whose sums step by |k(j)|; the walk takes each row in closed
+    form, so its cost grows with the rows, not the points. Coordinates
+    with k(i) = 0 stay at 0. sums_explored counts the points the walk
+    accounts for: every such point short of the window that precedes the
+    witness in odometer order, plus the witness if there is one. The
+    bound only sets the budget, which is charged for the whole grid:
+    OracleBudgetError is raised when (bound + 1)^n exceeds max_points,
+    and ValueError when max_points is not positive.
     Sign-mixed k is decided by a divisibility argument instead, since no
     grid of that size is guaranteed to hold a witness.
     """
@@ -296,13 +283,13 @@ def oracle_check_transition(
     count = 0
     while s < far:
         m = max(0, -((s - near) // a))  # first step of the row at or past near
-        if m <= b and s + a * m < far:
+        if s + a * m < far:
             x[j] = m
             value = sign * (s + a * m)
             return TransitionCheck(t.name, False, flags, tuple(x), value, count + m + 1)
-        count += min(b + 1, -((s - far) // a))  # the row's points short of far
+        count += -((s - far) // a)  # the row's points short of far
         for i in range(j + 1, n):
-            if ks[i] and x[i] < b:
+            if ks[i]:
                 x[i] += 1
                 s += ks[i]
                 if s < far:

@@ -1,11 +1,12 @@
-"""Shared fixtures: the running example, a scripted solver, a capture-proof printer."""
+"""Shared fixtures: the running example, a scripted solver, a capture-proof
+printer, and reference predicates the tests judge the package by."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
-from petrisep import Instance, Mode, PetriNet, Transition
+from petrisep import Instance, IntervalSet, Mode, PetriNet, Transition
 
 
 def two_place_instance(mode: Mode = Mode.REACH) -> Instance:
@@ -14,6 +15,30 @@ def two_place_instance(mode: Mode = Mode.REACH) -> Instance:
     u = Transition("u", (1, 2), (0, 4))
     v = Transition("v", (1, 0), (2, 1))
     return Instance(PetriNet(("p1", "p2"), (t, u, v)), (3, 1), (0, 4), mode)
+
+
+def canonical(spans) -> IntervalSet:
+    """Reference normalizer: sort spans, drop empty ones, fuse overlapping
+    and adjacent ones, so equal sets of integers get equal spans."""
+    merged = []
+    for lo, hi in sorted(spans, key=lambda s: (s[0] is not None, s[0] or 0)):
+        if lo is not None and hi is not None and lo > hi:
+            continue
+        if merged and (merged[-1][1] is None or lo is None or lo <= merged[-1][1] + 1):
+            plo, phi = merged[-1]
+            merged[-1] = (plo, None if phi is None or hi is None else max(phi, hi))
+        else:
+            merged.append((lo, hi))
+    return IntervalSet(tuple(merged))
+
+
+def is_multiple_of(k, k_hat) -> bool:
+    """Reference predicate: k == a * k_hat for some integer a >= 1."""
+    pivs = [(x, y) for x, y in zip(k, k_hat) if y != 0]
+    if not pivs or pivs[0][0] % pivs[0][1] != 0:
+        return False
+    a = pivs[0][0] // pivs[0][1]
+    return a >= 1 and all(x == a * y for x, y in zip(k, k_hat))
 
 
 def fake_smt_command(log, *args) -> tuple[str, ...]:

@@ -28,10 +28,9 @@ from petrisep import (
 )
 from petrisep import exact
 from petrisep import solver as solver_module
-from petrisep.formula import is_multiple_of
 from petrisep.solver import SolverNotFoundError, SolverTimeoutError
 
-from conftest import fake_smt_command, two_place_instance
+from conftest import fake_smt_command, is_multiple_of, two_place_instance
 
 
 def test_loop_budget_validation():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import petrisep
 from petrisep import format_instance, nontrivial_net, parse_instance, random_instance
 from petrisep.cli import main
 
@@ -165,6 +166,24 @@ def test_constants_empty_window_is_an_input_error(example_file, capsys):
     code = main(["constants", example_file, "--k", "-1", "-1"])
     assert code == 3
     assert "window" in capsys.readouterr().err
+
+
+def test_constants_json_keeps_reversed_gap_runs_for_k_at_most_zero(tmp_path, capsys):
+    # k <= 0 builds each set from gap runs read in reverse; three spans,
+    # none of them touching, must come out in ascending order
+    path = tmp_path / "family.net"
+    path.write_text(format_instance(nontrivial_net(4)))
+    code = main(["constants", str(path), "--k", "-5", "-5", "-5", "-4", "--json", "-"])
+    captured = capsys.readouterr()
+    assert code == 0
+    text = "{-30} [-26,-25] [-22,-20]"
+    for name in ("t1", "t2", "t3", "t4"):
+        assert f"transition {name}: {text}\n" in captured.err
+    assert f"intersection: {text}\n" in captured.err
+    doc = json.loads(captured.out)
+    assert doc["combined"] == [[-30, -30], [-26, -25], [-22, -20]]
+    assert all(spans == doc["combined"] for spans in doc["per_transition"].values())
+    assert doc["chosen"] == -20
 
 
 def test_oracle_verdicts(example_file, capsys):
@@ -377,6 +396,12 @@ def test_python_dash_m_entry_point(example_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert "certificate holds" in proc.stdout
+
+
+def test_every_export_resolves_once():
+    names = petrisep.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(petrisep, name)] == []
 
 
 GOLDEN_RUNS = (

@@ -29,7 +29,7 @@ from petrisep import (
 )
 from petrisep.constants import _gap_runs
 
-from conftest import two_place_instance
+from conftest import canonical, two_place_instance
 
 
 def test_gcd_vector():
@@ -120,8 +120,10 @@ def test_generate_constants_matches_reference_on_random_cases():
         )
         lo = rng.randint(-40, 30)
         hi = lo + rng.randint(0, 50)
-        got = set(generate_constants(k, t, window=(lo, hi)))
-        assert got == reference_inductive_thresholds(k, t, lo, hi), (k, t, lo, hi)
+        got = generate_constants(k, t, window=(lo, hi))
+        assert canonical(got.spans) == got.intersect(IntervalSet.between(lo, hi)) == got
+        members = {c for c in range(lo, hi + 1) if c in got}
+        assert members == reference_inductive_thresholds(k, t, lo, hi), (k, t, lo, hi)
         trials += 1
 
 
@@ -213,9 +215,9 @@ def test_generate_constants_cost_does_not_grow_with_the_flows():
     assert report.chosen == 6
     assert check_transition((1, 3), 6, t).inductive
     assert not check_transition((1, 3), 7, t).inductive
-    assert generate_constants((1, 3), t) == IntervalSet.at_most(6)
+    assert generate_constants((1, 3), t) == IntervalSet(((None, 6),))
     up = Transition("u", (0, 0), (w, 0))
-    assert generate_constants((-1, -3), up) == IntervalSet.at_least(1)
+    assert generate_constants((-1, -3), up) == IntervalSet(((1, None),))
     assert generate_constants((-1, -3), up, window=(-w, w)) == IntervalSet.between(1, w)
 
 
@@ -290,11 +292,11 @@ def test_constants_for_instance_agrees_with_generate_constants():
             assert s == generate_constants(k, t, window=(lo, hi)), (seed, k, t)
             unclipped = generate_constants(k, t)
             for x in (s, unclipped):
-                assert IntervalSet(x.spans) == x, (seed, k, t, x)
-            assert s == unclipped.clip(lo, hi), (seed, k, t)
+                assert canonical(x.spans) == x, (seed, k, t, x)
+            assert s == unclipped.intersect(IntervalSet.between(lo, hi)), (seed, k, t)
             combined = combined.intersect(s)
         assert report.combined == combined, (seed, k)
-        assert IntervalSet(report.combined.spans) == report.combined
+        assert canonical(report.combined.spans) == report.combined
         seen["empty_window"] += lo > hi
         seen["chosen"] += report.chosen is not None
         seen["cover"] += mode is Mode.COVER
@@ -317,12 +319,12 @@ def test_generate_constants_mixed_decreasing_is_empty():
 def test_generate_constants_unbounded_rays_without_window():
     t = Transition("t", (2, 1), (1, 2))  # delta (-1, 1)
     s = generate_constants((3, 2), t, window=None)
-    assert not s.is_bounded()
+    assert s.spans[0][0] is None  # unbounded below
     assert 7 in s  # k.post = 7: monotone ray
     assert 9 in s  # non-trivial: window [9, 10) misses 3a + 2b + 8
     assert 10 not in s  # 3*0 + 2*1 + 8 = 10
     neg = generate_constants((-3, -2), t, window=None)
-    assert not neg.is_bounded()
+    assert neg.spans[-1][1] is None  # unbounded above
     assert -7 in neg  # k.pre = -8 < c: antitone ray
 
 
@@ -330,7 +332,7 @@ def test_running_example_constants_report(two_place):
     report = constants_for_instance(two_place, (3, 2))
     assert report.window == (9, 11)  # (k.m_final, k.m_init] = (8, 11]
     assert report.chosen == 9
-    assert set(report.combined) == {9}
+    assert report.combined == IntervalSet(((9, 9),))
     assert report.cover_ok
     by_name = dict(report.per_transition)
     assert set(by_name) == {"t", "u", "v"}
@@ -360,10 +362,10 @@ def test_separator_window(two_place):
 
 
 def test_choose_constant():
-    assert choose_constant(IntervalSet.empty()) is None
+    assert choose_constant(IntervalSet()) is None
     assert choose_constant(IntervalSet.between(2, 7)) == 7
     with pytest.raises(ValueError):
-        choose_constant(IntervalSet.at_least(3))
+        choose_constant(IntervalSet(((3, None),)))
 
 
 def test_every_generated_constant_is_inductive_and_no_neighbor_is_missed():

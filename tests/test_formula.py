@@ -14,14 +14,13 @@ from petrisep.formula import (
     bound_constraint,
     evaluate,
     exclude_multiples,
-    is_multiple_of,
     separation_condition,
     separator_formula,
     to_smt,
     trivial_separator_formula,
 )
 
-from conftest import two_place_instance
+from conftest import is_multiple_of, two_place_instance
 
 
 def test_atom_evaluation():

@@ -18,7 +18,6 @@ from petrisep import (
     certify,
     check_net,
     check_transition,
-    classify_trivial,
     dot,
     generate_constants,
     is_mixed,
@@ -46,16 +45,16 @@ def test_is_mixed():
 
 def test_trivial_flags_by_hand():
     t = Transition("t", (2, 1), (1, 2))  # delta (-1, 1)
-    up = classify_trivial((1, 2), 0, t)  # k.delta = 1
+    up = check_transition((1, 2), 0, t).flags  # k.delta = 1
     assert up.oriented and up.any
 
-    mono = classify_trivial((3, 2), 7, t)  # k.post = 7 >= c
+    mono = check_transition((3, 2), 7, t).flags  # k.post = 7 >= c
     assert not mono.oriented and mono.monotone and mono.any
 
-    anti = classify_trivial((-3, -2), -7, t)  # k.pre = -8 < c
+    anti = check_transition((-3, -2), -7, t).flags  # k.pre = -8 < c
     assert anti.antitone and anti.any
 
-    none = classify_trivial((3, 2), 9, t)
+    none = check_transition((3, 2), 9, t).flags
     assert not none.any
 
 
@@ -75,13 +74,13 @@ def test_running_example_half_space_is_inductive(two_place):
     assert not by_name["t"].flags.any  # the interesting transition
     assert by_name["u"].flags.oriented
     assert by_name["v"].flags.oriented
-    assert chk.failing() == []
+    assert all(r.inductive for r in chk.per_transition)
 
 
 def test_running_example_threshold_8_fails_with_exact_witness(two_place):
     chk = check_net(two_place.net, HalfSpace((3, 2), 8))
     assert not chk.inductive
-    bad = chk.failing()
+    bad = [r for r in chk.per_transition if not r.inductive]
     assert [r.transition for r in bad] == ["t"]
     r = bad[0]
     t = two_place.net.transitions[0]
@@ -184,7 +183,6 @@ def test_arity_mismatch_raises_instead_of_truncating(k):
     calls = [
         lambda: check_transition(k, 0, t),
         lambda: oracle_check_transition(k, 0, t),
-        lambda: classify_trivial(k, 0, t),
         lambda: witness_bound(k, 0, t),
         lambda: generate_constants(k, t),
         lambda: generate_constants(k, t, window=(-5, 5)),
@@ -216,11 +214,10 @@ def test_trivial_flags_and_witness_bound_match_their_definitions():
             c = rng.choice((1, -1)) * rng.randint(10**6, 10**18)
         nonneg = all(x >= 0 for x in k)
         nonpos = all(x <= 0 for x in k)
-        flags = classify_trivial(k, c, t)
+        flags = check_transition(k, c, t).flags
         assert flags.oriented == (kdelta >= 0), (k, c, t)
         assert flags.monotone == (nonneg and kpost >= c), (k, c, t)
         assert flags.antitone == (nonpos and kpre < c), (k, c, t)
-        assert check_transition(k, c, t).flags == flags
         try:
             assert oracle_check_transition(k, c, t, max_points=1000).flags == flags
         except OracleBudgetError:
