@@ -1,7 +1,9 @@
 """Synthesis loop: outcomes, budgets, refinement, certification."""
 
 import itertools
+import random
 import shutil
+from collections import Counter
 
 import pytest
 
@@ -17,6 +19,7 @@ from petrisep import (
     SynthesisResult,
     SynthesisStats,
     Transition,
+    bounded_explore,
     certify,
     check_net,
     constants_for_instance,
@@ -28,6 +31,7 @@ from petrisep import (
 )
 from petrisep import exact
 from petrisep import solver as solver_module
+from petrisep.net import ExplorationOutcome
 from petrisep.solver import SolverNotFoundError, SolverTimeoutError
 
 from conftest import fake_smt_command, is_multiple_of, two_place_instance
@@ -236,6 +240,36 @@ def test_no_separator_is_never_answered_when_a_box_certificate_exists():
     # both sides of the claim are exercised
     assert verdicts.get((True, Outcome.FOUND), 0) > 100
     assert verdicts.get((False, Outcome.NO_SEPARATOR), 0) > 50
+
+
+def test_bfs_hard_sample_certificates_hold(tmp_path, monkeypatch):
+    # bfs-hard: random_instance seeds below 7,547 (criterion 10's scan
+    # range) whose target bounded_explore(4000) leaves undecided. A fixed
+    # draw of 150 seeds, synthesized in one shared built-in session.
+    monkeypatch.setenv("PATH", str(tmp_path))  # hides any native z3
+    seeds = random.Random(7547).sample(range(7547), 150)
+    hard = [
+        inst
+        for inst in map(random_instance, seeds)
+        if bounded_explore(inst, max_states=4000).outcome is ExplorationOutcome.INCONCLUSIVE
+    ]
+    outcomes = Counter()
+    cfg = SolverConfig()
+    with SmtSession(cfg) as session:
+        for inst in hard:
+            result = synthesize(inst, cfg, LoopBudget(max_iterations=40), session=session)
+            outcomes[result.outcome.value, result.stats.fast_path] += 1
+            if result.outcome is Outcome.FOUND:
+                assert certify(inst, result.halfspace).ok, inst
+                explored = bounded_explore(inst, max_states=20_000)
+                assert explored.outcome is not ExplorationOutcome.REACHED, inst
+    # (outcome, fast path) over the 46 hard instances of the 150
+    assert len(hard) == 46
+    assert outcomes == {
+        ("found", True): 40,
+        ("no-separator", False): 4,
+        ("exhausted", False): 2,
+    }
 
 
 @pytest.mark.skipif(shutil.which("z3") is None, reason="no native z3 to compare with")
