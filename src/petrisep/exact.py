@@ -8,9 +8,8 @@ of least sum |k(i)|, with None only when every branch of the search has
 been refuted exactly, and raises SolverUnknownError when the search had to
 give up somewhere.
 
-- Every atom becomes literals a.x >= b: integer coefficients divided by
-  their gcd, strict relations tightened to integers (a.x > b is
-  a.x >= b + 1), an equality the conjunction of two such literals.
+- Every atom a.x >= b becomes one literal, its integer coefficients
+  divided by their gcd and b rounded up to match.
 - Literals go into a bounded simplex in the style of Dutertre & de Moura
   ("A Fast Linear-Arithmetic Solver for DPLL(T)", CAV 2006), kept
   fraction-free: each row is an integer vector over the nonbasic unknowns
@@ -101,17 +100,7 @@ FALSE = _Or(())
 def _convert(f: Formula):
     """A formula as literals under _And and _Or."""
     if isinstance(f, Atom):
-        terms = tuple((i, c) for i, c in enumerate(f.coeffs) if c)
-        neg = tuple((v, -c) for v, c in terms)
-        if f.rel == ">=":
-            return _lit(terms, f.rhs)
-        if f.rel == ">":
-            return _lit(terms, f.rhs + 1)
-        if f.rel == "<=":
-            return _lit(neg, -f.rhs)
-        if f.rel == "<":
-            return _lit(neg, 1 - f.rhs)
-        return _conj((_lit(terms, f.rhs), _lit(neg, -f.rhs)))
+        return _lit(tuple((i, c) for i, c in enumerate(f.coeffs) if c), f.rhs)
     if isinstance(f, Conj):
         return _conj([_convert(p) for p in f.parts])
     if isinstance(f, Disj):

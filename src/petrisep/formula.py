@@ -7,15 +7,17 @@ admit no such c. Synthesis and the no-separator verdict rely on this
 direction only; each candidate is then checked exactly. It is the
 separation atom and one of three cases: k <= 0, k >= 0, or every
 transition oriented (see separator_formula), with no condition that the
-others already imply and no equality. Atoms keep concrete integer
-coefficients so formulas can be both evaluated locally (exact arithmetic)
-and emitted as SMT-LIB2. There is no negation: every formula is atoms
-under conjunction and disjunction (negation normal form).
+others already imply and no equality. Every atom has one relation,
+coeffs . k >= rhs, with concrete integer coefficients, so formulas can be
+both evaluated locally (exact arithmetic) and emitted as SMT-LIB2. A
+strict or reversed comparison is written tightened to the integers:
+x > 0 as x >= 1, x <= 0 as -x >= 0, x < 0 as -x >= 1. There is no
+negation: every formula is atoms under conjunction and disjunction
+(negation normal form).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
@@ -26,51 +28,30 @@ from .net import Instance, IntVector, Mode
 
 Formula = Union["Atom", "Conj", "Disj"]
 
-_RELS = {
-    ">=": operator.ge,
-    ">": operator.gt,
-    "=": operator.eq,
-    "<=": operator.le,
-    "<": operator.lt,
-}
-
 
 @dataclass(frozen=True)
 class Atom:
-    """coeffs . k REL rhs with concrete integer coefficients."""
+    """coeffs . k >= rhs with concrete integer coefficients."""
 
     coeffs: IntVector
-    rel: str
     rhs: int
-
-    def __post_init__(self):
-        if self.rel not in _RELS:
-            raise ValueError(f"bad relation {self.rel!r}")
-        if type(self.coeffs) is not tuple:
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
 
 @dataclass(frozen=True)
 class Conj:
     parts: tuple[Formula, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-
 
 @dataclass(frozen=True)
 class Disj:
     parts: tuple[Formula, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
 
 
 def evaluate(f: Formula, k: Sequence[int]) -> bool:
     """Evaluate under the assignment k with exact integer arithmetic."""
     kind = type(f)
     if kind is Atom:
-        return _RELS[f.rel](sum(map(mul, f.coeffs, k)), f.rhs)
+        return sum(map(mul, f.coeffs, k)) >= f.rhs
     if kind is Conj:
         for p in f.parts:
             if not evaluate(p, k):
@@ -92,14 +73,13 @@ def _unit(n: int, i: int, value: int = 1) -> IntVector:
 
 @cache
 def _sign_parts(n: int) -> tuple[tuple[Atom, ...], ...]:
-    """The atoms k(i) >= 0 and k(i) <= 0; one copy per arity."""
-    units = [_unit(n, i) for i in range(n)]
-    return tuple(tuple(Atom(e_i, rel, 0) for e_i in units) for rel in (">=", "<="))
+    """The atoms k(i) >= 0 and -k(i) >= 0; one copy per arity."""
+    return tuple(tuple(Atom(_unit(n, i, s), 0) for i in range(n)) for s in (1, -1))
 
 
 def separation_condition(inst: Instance) -> Atom:
     """k . m_init > k . m_final: some threshold can split the markings."""
-    return Atom(tuple(map(sub, inst.m_init, inst.m_final)), ">", 0)
+    return Atom(tuple(map(sub, inst.m_init, inst.m_final)), 1)
 
 
 def separator_formula(inst: Instance) -> Conj:
@@ -111,7 +91,7 @@ def separator_formula(inst: Instance) -> Conj:
        or every k(i) is 0 (written k(i) >= 0) or has -k(i) >= -k.delta,
        which makes a non-trivial threshold exist;
     2. k >= 0, mirrored: the fired products lie strictly above k.m_final,
-       or every k(i) is 0 (written k(i) <= 0) or has k(i) >= -k.delta;
+       or every k(i) is 0 (written -k(i) >= 0) or has k(i) >= -k.delta;
     3. every transition is oriented, the only option of a mixed k.
     An oriented transition (k.delta >= 0) meets every span literal of a
     sign-pure k; with k(i) != 0 the other orthant's span literal implies
@@ -134,18 +114,18 @@ def _cases(inst: Instance, spans: bool) -> Conj:
     # Instance has checked every arity, so plain elementwise maps suffice.
     nonneg, nonpos = _sign_parts(inst.net.n)
     ts = inst.net.transitions
-    oriented = [Atom(t.delta, ">=", 0) for t in ts]
+    oriented = [Atom(t.delta, 0) for t in ts]
 
     def orthant(signs, others, step: int, strict: list) -> list[Formula]:
         parts: list[Formula] = list(signs)
         for t, o, v in zip(ts, oriented, strict):
-            options = (o, Atom(v, ">", 0))
+            options = (o, Atom(v, 1))
             if spans:
                 wide = []
                 for i, other in enumerate(others):
                     span = list(t.delta)
                     span[i] += step  # step * k(i) >= -k.delta
-                    wide.append(Disj((other, Atom(tuple(span), ">=", 0))))
+                    wide.append(Disj((other, Atom(tuple(span), 0))))
                 options = (options[1], Conj(tuple(wide)))
             parts.append(Disj(options))
         return parts
@@ -164,9 +144,8 @@ def bound_constraint(n: int, bound: int) -> Conj:
         raise ValueError("bound must be positive")
     parts = []
     for i in range(n):
-        e_i = _unit(n, i)
-        parts.append(Atom(e_i, "<=", bound))
-        parts.append(Atom(e_i, ">=", -bound))
+        parts.append(Atom(_unit(n, i, -1), -bound))
+        parts.append(Atom(_unit(n, i), -bound))
     return Conj(tuple(parts))
 
 
@@ -197,8 +176,8 @@ def exclude_multiples(k_hat: Sequence[int]) -> Disj:
         coeffs[i] = k_hat[p]
         coeffs[p] = -k_hat[i]
         c_i = tuple(coeffs)  # k_hat(p) k(i) != k_hat(i) k(p)
-        parts += (Atom(c_i, ">", 0), Atom(c_i, "<", 0))
-    parts.append(Atom(_unit(n, p), "<=" if k_hat[p] > 0 else ">=", 0))
+        parts += (Atom(c_i, 1), Atom(tuple(-c for c in c_i), 1))
+    parts.append(Atom(_unit(n, p, -1 if k_hat[p] > 0 else 1), 0))
     return Disj(tuple(parts))
 
 
@@ -225,7 +204,7 @@ def _smt_linear(coeffs: Sequence[int], names: Sequence[str]) -> str:
 def to_smt(f: Formula, names: Sequence[str]) -> str:
     """Render as an SMT-LIB2 term over the given variable names."""
     if isinstance(f, Atom):
-        return f"({f.rel} {_smt_linear(f.coeffs, names)} {_smt_int(f.rhs)})"
+        return f"(>= {_smt_linear(f.coeffs, names)} {_smt_int(f.rhs)})"
     if isinstance(f, Conj):
         if not f.parts:
             return "true"

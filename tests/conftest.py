@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from petrisep import Instance, IntervalSet, Mode, PetriNet, Transition
+from petrisep.formula import Atom, Conj
 
 
 def two_place_instance(mode: Mode = Mode.REACH) -> Instance:
@@ -39,6 +40,11 @@ def is_multiple_of(k, k_hat) -> bool:
         return False
     a = pivs[0][0] // pivs[0][1]
     return a >= 1 and all(x == a * y for x, y in zip(k, k_hat))
+
+
+def eq(coeffs, b) -> Conj:
+    """coeffs . k = b, as the two atoms coeffs . k >= b and -coeffs . k >= -b."""
+    return Conj((Atom(coeffs, b), Atom(tuple(-c for c in coeffs), -b)))
 
 
 def fake_smt_command(log, *args) -> tuple[str, ...]:

@@ -20,17 +20,20 @@ from petrisep.formula import (
     trivial_separator_formula,
 )
 
-from conftest import is_multiple_of, two_place_instance
+from conftest import eq, is_multiple_of, two_place_instance
 
 
 def test_atom_evaluation():
-    assert evaluate(Atom((2, -1), ">=", 3), (2, 1))
-    assert not evaluate(Atom((2, -1), ">", 3), (2, 1))
-    assert evaluate(Atom((1, 0), "=", 5), (5, 9))
-    assert evaluate(Atom((0, 1), "<=", 0), (5, -2))
-    assert evaluate(Atom((0, 1), "<", 0), (5, -2))
-    with pytest.raises(ValueError):
-        Atom((1,), "!=", 0)
+    # one relation, coeffs . k >= rhs; other comparisons come tightened
+    assert evaluate(Atom((2, -1), 3), (2, 1))
+    assert not evaluate(Atom((2, -1), 4), (2, 1))  # 2 k0 - k1 > 3
+    assert evaluate(eq((1, 0), 5), (5, 9))
+    assert not evaluate(eq((1, 0), 5), (4, 9))
+    assert evaluate(Atom((0, -1), 0), (5, -2))  # k1 <= 0
+    assert evaluate(Atom((0, -1), 1), (5, -2))  # k1 < 0
+    assert not evaluate(Atom((0, -1), 1), (5, 0))
+    assert evaluate(Atom((0, 0), 0), (5, 9))
+    assert not evaluate(Atom((0, 0), 1), (5, 9))
 
 
 def test_connectives():
@@ -38,21 +41,23 @@ def test_connectives():
     bottom = Disj(())
     assert evaluate(top, (0,))
     assert not evaluate(bottom, (0,))
-    f = Disj((Atom((1,), ">=", 5), Conj((Atom((1,), "<", 0), Atom((1,), ">", -4)))))
+    f = Disj((Atom((1,), 5), Conj((Atom((-1,), 1), Atom((1,), -3)))))  # k >= 5 or -4 < k < 0
     assert evaluate(f, (7,))
     assert evaluate(f, (-3,))
     assert not evaluate(f, (-4,))
 
 
 def test_smt_rendering():
-    assert to_smt(Atom((3, -2), ">=", -4), ["k0", "k1"]) == (
+    assert to_smt(Atom((3, -2), -4), ["k0", "k1"]) == (
         "(>= (+ (* 3 k0) (* (- 2) k1)) (- 4))"
     )
-    assert to_smt(Atom((0, 1), "<", 2), ["k0", "k1"]) == "(< k1 2)"
-    assert to_smt(Atom((0,), "=", 0), ["k0"]) == "(= 0 0)"
+    assert to_smt(Atom((0, -1), -1), ["k0", "k1"]) == "(>= (* (- 1) k1) (- 1))"
+    assert to_smt(Atom((0, 1), 2), ["k0", "k1"]) == "(>= k1 2)"
+    assert to_smt(Atom((0,), 0), ["k0"]) == "(>= 0 0)"
+    assert to_smt(eq((1, 0), 0), ["k0", "k1"]) == "(and (>= k0 0) (>= (* (- 1) k0) 0))"
     assert to_smt(Conj(()), []) == "true"
     assert to_smt(Disj(()), []) == "false"
-    assert to_smt(Disj((Atom((1,), "<=", 0),)), ["x"]) == "(or (<= x 0))"
+    assert to_smt(Disj((Atom((-1,), 0),)), ["x"]) == "(or (>= (* (- 1) x) 0))"
 
 
 def test_separation_condition(two_place):
@@ -108,10 +113,10 @@ def test_exclude_multiples_is_one_flat_disjunction():
         n = len(k_hat)
         f = exclude_multiples(k_hat)
         assert type(f) is Disj and len(f.parts) == 2 * (n - 1) + 1, k_hat
-        assert all(type(a) is Atom and a.rel != "=" for a in f.parts), k_hat
+        assert all(type(a) is Atom for a in f.parts), k_hat
         assert "not" not in to_smt(f, [f"k{i}" for i in range(n)]), k_hat
     assert to_smt(exclude_multiples((3, 2)), ["a", "b"]) == (
-        "(or (> (+ (* (- 2) a) (* 3 b)) 0) (< (+ (* (- 2) a) (* 3 b)) 0) (<= a 0))"
+        "(or (>= (+ (* (- 2) a) (* 3 b)) 1) (>= (+ (* 2 a) (* (- 3) b)) 1) (>= (* (- 1) a) 0))"
     )
 
 

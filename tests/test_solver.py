@@ -30,7 +30,7 @@ from petrisep.solver import (
     parse_model,
 )
 
-from conftest import fake_smt_command
+from conftest import eq, fake_smt_command
 
 # -- offline helpers ----------------------------------------------------
 
@@ -70,7 +70,7 @@ def test_discovery_finds_native_z3_or_leaves_the_builtin_backend(monkeypatch):
     with SmtSession(SolverConfig()) as s:
         assert s.command is None
         s.begin(1)
-        s.add(Atom((1,), ">=", 2))
+        s.add(Atom((1,), 2))
         assert s.check() == (2,)
     monkeypatch.setattr(
         solver_module.shutil, "which", lambda name: "/usr/local/bin/z3" if name == "z3" else None
@@ -88,7 +88,7 @@ def test_config_validation():
 
 # -- the external pipe, against a scripted solver --------------------------
 
-PROPORTION = [Atom((2, -3), "=", 0), Atom((1, 0), ">", 0)]  # 2 k0 = 3 k1, k0 > 0
+PROPORTION = [eq((2, -3), 0), Atom((1, 0), 1)]  # 2 k0 = 3 k1, k0 > 0
 
 
 def fake_check(log, *fake_args, timeout_ms=15_000):
@@ -166,9 +166,9 @@ def test_add_before_begin_raises_on_both_backends(tmp_path, monkeypatch):
     for cfg in (SolverConfig(), SolverConfig(pipe)):
         with SmtSession(cfg) as s:
             with pytest.raises(SolverError, match=r"call begin\(\) before add\(\)"):
-                s.add(Atom((1,), "=", 4))
+                s.add(eq((1,), 4))
             s.begin(1)
-            s.add(Atom((1,), "=", 4))
+            s.add(eq((1,), 4))
             assert s.check() == (4,)
     # (4,), then the probes at caps 1, 2 and 3, all unsat
     assert log.read_text().split() == ["spawn"] + ["check-sat"] * 4
@@ -186,7 +186,7 @@ def brute_force_models(formulas, n, radius):
 
 
 def test_check_sat_returns_a_satisfying_model():
-    base = [Atom((1, 1), ">=", 7), Atom((1, -1), "=", 1)]
+    base = [Atom((1, 1), 7), eq((1, -1), 1)]
     with SmtSession(SolverConfig()) as s:
         s.begin(2)
         for f in base:
@@ -199,20 +199,20 @@ def test_check_sat_returns_a_satisfying_model():
 def test_check_unsat_returns_none():
     with SmtSession(SolverConfig()) as s:
         s.begin(1)
-        s.add(Atom((2,), "=", 1))  # 2 k0 = 1 has no integer solution
+        s.add(eq((2,), 1))  # 2 k0 = 1 has no integer solution
         assert s.check() is None
 
 
 def test_extra_formulas_are_scoped_to_one_call():
     with SmtSession(SolverConfig()) as s:
         s.begin(1)
-        s.add(Atom((1,), ">=", 0))
-        assert s.check([Atom((1,), ">=", 5), Atom((1,), "<=", 5)]) == (5,)
-        assert s.check([Atom((1,), "<=", 3), Atom((1,), ">=", 3)]) == (3,)
+        s.add(Atom((1,), 0))
+        assert s.check([Atom((1,), 5), Atom((-1,), -5)]) == (5,)
+        assert s.check([Atom((-1,), -3), Atom((1,), 3)]) == (3,)
 
 
 def test_minimization_finds_smallest_absolute_sum():
-    base = [Atom((1, 1), ">=", 7), bound_constraint(2, 30)]
+    base = [Atom((1, 1), 7), bound_constraint(2, 30)]
     expected = min(
         sum(abs(x) for x in k) for k in brute_force_models(base, 2, 30)
     )
@@ -254,8 +254,8 @@ def test_minimization_finds_smallest_absolute_sum():
 
 def test_minimization_handles_disjunctions_and_negatives():
     base = [
-        Disj((Atom((1, 0), "<=", -4), Atom((1, 0), ">=", 9))),
-        Atom((0, 1), ">=", 2),
+        Disj((Atom((-1, 0), 4), Atom((1, 0), 9))),
+        Atom((0, 1), 2),
         bound_constraint(2, 40),
     ]
     expected = min(sum(abs(x) for x in k) for k in brute_force_models(base, 2, 40))
@@ -269,7 +269,7 @@ def test_minimization_handles_disjunctions_and_negatives():
 
 def test_builtin_deeply_nested_formula_is_unknown(monkeypatch):
     monkeypatch.setattr(solver_module.shutil, "which", lambda name: None)
-    f = Atom((1,), ">=", 0)
+    f = Atom((1,), 0)
     for _ in range(3000):
         f = Conj((f,))
     with SmtSession(SolverConfig()) as s:
@@ -282,9 +282,9 @@ def test_builtin_deeply_nested_formula_is_unknown(monkeypatch):
 def test_builtin_search_that_gives_up_is_never_unsat():
     # integer solution (-178, 112, -106, 31), beyond the branch depth limit
     system = [
-        Atom((-4, -3, 5, 5), "=", 1),
-        Atom((-4, -4, 1, -5), "=", 3),
-        Atom((1, -4, -5, 3), "=", -3),
+        eq((-4, -3, 5, 5), 1),
+        eq((-4, -4, 1, -5), 3),
+        eq((1, -4, -5, 3), -3),
     ]
     assert all(evaluate(f, (-178, 112, -106, 31)) for f in system)
     try:
@@ -298,14 +298,14 @@ def test_builtin_lattice_check_refutes_a_parity_conflict():
     # x = 2 y and x = 2 z + 1 have rational points but no integer one; each
     # form alone has one, so only the Hermite check on the pinned forms
     # (not gcd tightening) ends the branch and bound here.
-    system = [Atom((1, -2, 0), "=", 0), Atom((1, 0, -2), "=", 1)]
+    system = [eq((1, -2, 0), 0), eq((1, 0, -2), 1)]
     assert solve(system, 3, time.monotonic() + 60) is None
 
 
 def random_formula(rng, n, depth):
     if depth == 0 or rng.random() < 0.3:
         coeffs = tuple(rng.randint(-3, 3) for _ in range(n))
-        return Atom(coeffs, rng.choice((">=", ">", "=", "<=", "<")), rng.randint(-4, 4))
+        return Atom(coeffs, rng.randint(-4, 4))
     kind = rng.choice((Conj, Disj))
     return kind(tuple(random_formula(rng, n, depth - 1) for _ in range(rng.randint(0, 3))))
 
@@ -327,20 +327,20 @@ def test_builtin_normal_form_and_its_negation_match_evaluate():
 def test_begin_resets_state_for_reuse():
     with SmtSession(SolverConfig()) as s:
         s.begin(1)
-        s.add(Atom((1,), "=", 4))
+        s.add(eq((1,), 4))
         assert s.check() == (4,)
         s.begin(3)
-        s.add(Atom((1, 1, 1), "=", -2))
+        s.add(eq((1, 1, 1), -2))
         model = s.check()
         assert len(model) == 3 and sum(model) == -2
         # the old k0 = 4 constraint must be gone
-        assert s.check([Atom((1, 0, 0), "=", 0)]) is not None
+        assert s.check([eq((1, 0, 0), 0)]) is not None
 
 
 def test_queries_are_counted():
     with SmtSession(SolverConfig()) as s:
         s.begin(1)
-        s.add(Atom((1,), ">=", 3))
+        s.add(Atom((1,), 3))
         before = s.queries
         s.check()
         assert s.queries > before
