@@ -125,14 +125,15 @@ def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisRe
     session.begin(n)
     # Fast path: a vector trivial for every transition, probed in a scope
     # before the base goes in. The trivial formula implies the separator
-    # formula, so the base would only add work to this query. When it is
-    # satisfiable a workable threshold always exists, so the exact
-    # generator below cannot come back empty.
+    # formula, so the base would only add work to this query. Its models
+    # always have a workable threshold: c = k.m_init for k <= 0,
+    # c = k.m_final + 1 for k >= 0, any c when every transition is oriented.
     model = session.check([trivial_separator_formula(inst)])
     if model is not None:
         got = attempt(model)
-        if got is not None:
-            return finish(Outcome.FOUND, *got, fast=True)
+        if got is None:
+            raise RuntimeError(f"internal error: fast-path k={examined[-1]} has no threshold")
+        return finish(Outcome.FOUND, *got, fast=True)
 
     # One problem: the necessary condition over k. Each check returns the
     # model of least sum |k(i)|; an unsat without the box is a proof that

@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence, TextIO, Union
 
 from .cegar import LoopBudget, Outcome, certify, synthesize
-from .constants import constants_for_instance, separator_window
+from .constants import constants_for_instance
 from .fileformat import NetFormatError, format_instance, int_problem, load_instance
 from .generators import nontrivial_net, random_instance, ussp_halfspace
 from .inductivity import (
@@ -171,8 +171,6 @@ def cmd_check(args) -> int:
 def cmd_constants(args) -> int:
     inst = _load(args)
     k = _read_k(args, inst)
-    if all(x == 0 for x in k):
-        raise ValueError("the zero vector cannot separate any two markings")
     decreasing = [t.name for t in inst.net.transitions if dot(k, t.delta) < 0]
     if is_mixed(k) and decreasing:
         print(
@@ -181,12 +179,12 @@ def cmd_constants(args) -> int:
             "no threshold is inductive for such a vector"
         )
         return EXIT_INCONCLUSIVE
-    lo, hi = separator_window(inst, k)
+    report = constants_for_instance(inst, k)
+    lo, hi = report.window
     if lo > hi:
         raise ValueError(
             f"empty separation window: k.m_init = {hi} is not above k.m_final = {lo - 1}"
         )
-    report = constants_for_instance(inst, k)
     print(f"k = {report.k}, mode = {inst.mode.value}")
     print(f"window: [{lo}, {hi}]  (thresholds separating m_final from m_init)")
     for name, cset in report.per_transition:

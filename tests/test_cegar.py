@@ -1,5 +1,6 @@
 """Synthesis loop: outcomes, budgets, refinement, certification."""
 
+import dataclasses
 import itertools
 import random
 import shutil
@@ -29,7 +30,7 @@ from petrisep import (
     synthesize,
     verify_separator,
 )
-from petrisep import exact
+from petrisep import cegar, exact
 from petrisep import solver as solver_module
 from petrisep.net import ExplorationOutcome
 from petrisep.solver import SolverNotFoundError, SolverTimeoutError
@@ -142,6 +143,23 @@ def test_fast_path_is_one_scoped_probe_of_the_external_solver(tmp_path):
     assert result.halfspace == HalfSpace((1, 0), 2)
     assert result.stats.solver_queries == 1
     assert log.read_text().split() == ["spawn"] + ["check-sat"] * 2
+
+
+def test_fast_path_vector_without_a_threshold_is_an_internal_error(tmp_path, monkeypatch):
+    # A model of the trivial formula always has a threshold; if the
+    # generator ever disagreed, synthesis must not go on as if it were
+    # an ordinary failed candidate.
+    monkeypatch.setenv("PATH", str(tmp_path))  # hides any native z3
+    inst = random_instance(1, mode=Mode.COVER)
+    assert synthesize(inst).stats.fast_path
+    real = cegar.constants_for_instance
+
+    def no_threshold(inst, k):
+        return dataclasses.replace(real(inst, k), chosen=None)
+
+    monkeypatch.setattr(cegar, "constants_for_instance", no_threshold)
+    with pytest.raises(RuntimeError, match="internal error: fast-path k="):
+        synthesize(inst)
 
 
 def test_examined_candidates_are_primitive_and_pairwise_not_multiples():
