@@ -62,17 +62,6 @@ from .net import (
     dot,
     verify_separator,
 )
-from .solver import (
-    SmtSession,
-    SolverConfig,
-    SolverError,
-    SolverNotFoundError,
-    SolverParseError,
-    SolverProcessError,
-    SolverTimeoutError,
-    SolverUnknownError,
-    discover_solver,
-)
 
 __version__ = "0.1.0"
 
@@ -134,3 +123,28 @@ __all__ = [
     "verify_separator",
     "witness_bound",
 ]
+
+# The SMT layer (solver.py, with subprocess and threading, and exact.py
+# behind it) loads on the first synthesis or the first use of one of
+# these names, so `import petrisep` and the other commands skip it.
+_SOLVER_NAMES = frozenset(
+    {
+        "SmtSession",
+        "SolverConfig",
+        "SolverError",
+        "SolverNotFoundError",
+        "SolverParseError",
+        "SolverProcessError",
+        "SolverTimeoutError",
+        "SolverUnknownError",
+        "discover_solver",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name not in _SOLVER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import solver
+
+    return getattr(solver, name)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .constants import constants_for_instance, normalize_primitive
 from .formula import (
@@ -25,7 +25,9 @@ from .formula import (
 from .inductivity import NetCheck, OracleBudgetError, check_net, oracle_check_transition
 from .jsondoc import JsonDoc, key
 from .net import HalfSpace, Instance, IntVector, SeparatorVerdict, verify_separator
-from .solver import SmtSession, SolverConfig
+
+if TYPE_CHECKING:
+    from .solver import SmtSession, SolverConfig
 
 
 class Outcome(Enum):
@@ -36,6 +38,8 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class LoopBudget:
+    """Limits on one synthesis run: candidates, wall seconds, and an optional |k(i)| box."""
+
     max_iterations: int = 200
     max_seconds: float = 300.0
     max_bound: Optional[int] = None  # box |k(i)| <= max_bound on every candidate
@@ -49,6 +53,8 @@ class LoopBudget:
 
 @dataclass(frozen=True)
 class SynthesisStats(JsonDoc):
+    """Work one synthesis run did: candidates, solver queries, wall time."""
+
     iterations: int  # candidate vectors examined
     solver_queries: int
     wall_seconds: float
@@ -58,6 +64,8 @@ class SynthesisStats(JsonDoc):
 
 @dataclass(frozen=True)
 class SynthesisResult(JsonDoc):
+    """Outcome of synthesize; on FOUND, the certificate with its two checks."""
+
     outcome: Outcome
     halfspace: Optional[HalfSpace]
     separator: Optional[SeparatorVerdict]
@@ -79,6 +87,10 @@ def synthesize(
     so no binary is required. Solver trouble (a broken external solver,
     timeout, 'unknown') raises; exhausted budgets are an ordinary result.
     """
+    # Loaded here, not at the top: only synthesis needs the solver pipe,
+    # so importing the package and every other command skip it.
+    from .solver import SmtSession, SolverConfig
+
     cfg = cfg if cfg is not None else SolverConfig()
     budget = budget if budget is not None else LoopBudget()
     own = session is None

@@ -37,7 +37,6 @@ from .net import (
     dot,
     verify_separator,
 )
-from .solver import SolverConfig, SolverError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -83,11 +82,6 @@ def _write_json(target: Union[None, str, TextIO], doc) -> None:
         target.write(text)
 
 
-def _solver_config(args) -> SolverConfig:
-    command = tuple(shlex.split(args.solver)) if args.solver else None
-    return SolverConfig(command=command, timeout_ms=args.timeout_ms)
-
-
 def _print_transition_lines(per_transition) -> None:
     for r in per_transition:
         if r.inductive:
@@ -112,14 +106,22 @@ def _print_separation(inst: Instance, hs: HalfSpace) -> None:
 
 
 def cmd_synthesize(args) -> int:
+    # Only synthesis talks to a solver, so only it loads the solver module.
+    from .solver import SolverConfig, SolverError
+
     inst = _load(args)
-    cfg = _solver_config(args)
+    command = tuple(shlex.split(args.solver)) if args.solver else None
+    cfg = SolverConfig(command=command, timeout_ms=args.timeout_ms)
     budget = LoopBudget(
         max_iterations=args.max_iters,
         max_seconds=args.max_seconds,
         max_bound=args.max_bound,
     )
-    result = synthesize(inst, cfg, budget)
+    try:
+        result = synthesize(inst, cfg, budget)
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     stats = result.stats
     print(f"outcome: {result.outcome.value}")
     if result.outcome is Outcome.FOUND:
@@ -396,9 +398,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NetFormatError, StructureError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

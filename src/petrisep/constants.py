@@ -189,6 +189,8 @@ def separator_window(inst: Instance, k: Sequence[int]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ConstantsReport:
+    """Inductive thresholds for one k: per transition, combined, and the pick."""
+
     k: IntVector
     window: tuple[int, int]
     per_transition: tuple[tuple[str, IntervalSet], ...]

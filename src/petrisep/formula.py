@@ -39,11 +39,15 @@ class Atom:
 
 @dataclass(frozen=True)
 class Conj:
+    """All parts hold; true when there are none."""
+
     parts: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
 class Disj:
+    """Some part holds; false when there are none."""
+
     parts: tuple[Formula, ...]
 
 
@@ -193,7 +197,12 @@ def _smt_linear(coeffs: Sequence[int], names: Sequence[str]) -> str:
     for c, name in zip(coeffs, names):
         if c == 0:
             continue
-        terms.append(name if c == 1 else f"(* {_smt_int(c)} {name})")
+        if c == 1:
+            terms.append(name)
+        elif c == -1:
+            terms.append(f"(- {name})")
+        else:
+            terms.append(f"(* {_smt_int(c)} {name})")
     if not terms:
         return "0"
     if len(terms) == 1:

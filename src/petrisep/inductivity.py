@@ -123,6 +123,8 @@ def _mixed_witness(k: Sequence[int], c: int, t: Transition, kd: int) -> tuple[In
 
 @dataclass(frozen=True)
 class TransitionCheck(JsonDoc):
+    """Inductivity verdict of (k, c) against one transition, with a witness if not."""
+
     transition: str
     inductive: bool
     flags: TrivialFlags = field(metadata=FLAT)
@@ -206,6 +208,8 @@ def check_transition(k: Sequence[int], c: int, t: Transition) -> TransitionCheck
 
 @dataclass(frozen=True)
 class NetCheck(JsonDoc):
+    """Inductivity verdicts against every transition of a net, in its order."""
+
     per_transition: tuple[TransitionCheck, ...] = field(metadata=INLINE)
 
     @property

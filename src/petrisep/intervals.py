@@ -19,6 +19,8 @@ Span = tuple[Optional[int], Optional[int]]
 
 @dataclass(frozen=True)
 class IntervalSet(JsonDoc):
+    """A set of integers as canonical spans (see the module docstring)."""
+
     spans: tuple[Span, ...] = field(default=(), metadata=INLINE)
 
     @classmethod

@@ -88,6 +88,8 @@ class Transition:
 
 @dataclass(frozen=True)
 class PetriNet:
+    """Named places and transitions whose vectors have one entry per place."""
+
     places: tuple[str, ...]
     transitions: tuple[Transition, ...]
 
@@ -203,6 +205,8 @@ class ExplorationOutcome(Enum):
 
 @dataclass(frozen=True)
 class ExplorationReport:
+    """Result of bounded_explore: outcome, markings stored, depth of the target."""
+
     outcome: ExplorationOutcome
     states_visited: int
     steps_to_target: Optional[int] = None  # BFS depth at which target was found

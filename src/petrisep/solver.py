@@ -58,6 +58,8 @@ class SolverUnknownError(SolverError):
 
 @dataclass
 class SolverConfig:
+    """Which external solver to run, if any, and how long each query may take."""
+
     command: Optional[tuple[str, ...]] = None  # None: discover automatically
     timeout_ms: int = 15_000  # per solver query
 

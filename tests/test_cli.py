@@ -404,6 +404,81 @@ def test_every_export_resolves_once():
     assert [name for name in names if not hasattr(petrisep, name)] == []
 
 
+# Each script runs in a fresh interpreter, given the example net's path;
+# the test then reads which modules of the SMT layer it loaded.
+LAZY_LOADING = [
+    pytest.param(
+        """
+import contextlib, io, sys
+import petrisep
+from petrisep.cli import main
+net = sys.argv[1]
+runs = [
+    ["explore", net, "--budget", "500"],
+    ["check", net, "--k", "3,2", "--c", "9"],
+    ["constants", net, "--k", "3,2"],
+    ["oracle", net, "--k", "3,2", "--c", "9"],
+    ["gen", "random", "--seed", "1"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+assert codes == [2, 0, 0, 0, 0], codes
+assert not hasattr(petrisep, "no_such_name")
+""",
+        [],
+        id="import-and-other-commands",
+    ),
+    pytest.param(
+        """
+import petrisep
+from petrisep import *
+unbound = [name for name in petrisep.__all__ if name not in globals()]
+assert unbound == [], unbound
+""",
+        ["petrisep.solver"],
+        id="star-import",
+    ),
+    pytest.param("import petrisep; petrisep.SolverConfig", ["petrisep.solver"], id="solver-name"),
+    pytest.param(
+        """
+import contextlib, io, sys
+from petrisep.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["synthesize", sys.argv[1]]) == 0
+""",
+        ["petrisep.exact", "petrisep.solver"],  # built-in backend: PATH has no z3
+        id="synthesize",
+    ),
+]
+
+
+@pytest.mark.parametrize("script, loaded", LAZY_LOADING)
+def test_smt_layer_loads_only_for_synthesis(script, loaded, example_file, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    report = "import sys; print(sorted(m for m in sys.modules if m in SMT_LAYER))"
+    code = f"{script}\nSMT_LAYER = ('petrisep.exact', 'petrisep.solver')\n{report}\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, example_file],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src), "PATH": str(tmp_path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+def test_synthesize_solver_error_leaves_stdout_empty_under_json_dash(
+    example_file, tmp_path, capsys
+):
+    solver = shlex.join(fake_smt_command(tmp_path / "exit.log", "--on-check", "exit"))
+    code = main(["synthesize", example_file, "--json", "-", "--solver", solver])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "solver error:" in captured.err
+    assert captured.out == ""
+
+
 GOLDEN_RUNS = (
     ["synthesize", "--json", "-"],
     ["synthesize", "--mode", "cover", "--json", "-"],

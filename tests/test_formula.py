@@ -51,13 +51,14 @@ def test_smt_rendering():
     assert to_smt(Atom((3, -2), -4), ["k0", "k1"]) == (
         "(>= (+ (* 3 k0) (* (- 2) k1)) (- 4))"
     )
-    assert to_smt(Atom((0, -1), -1), ["k0", "k1"]) == "(>= (* (- 1) k1) (- 1))"
+    assert to_smt(Atom((0, -1), -1), ["k0", "k1"]) == "(>= (- k1) (- 1))"
     assert to_smt(Atom((0, 1), 2), ["k0", "k1"]) == "(>= k1 2)"
+    assert to_smt(Atom((1, -1), 0), ["k0", "k1"]) == "(>= (+ k0 (- k1)) 0)"
     assert to_smt(Atom((0,), 0), ["k0"]) == "(>= 0 0)"
-    assert to_smt(eq((1, 0), 0), ["k0", "k1"]) == "(and (>= k0 0) (>= (* (- 1) k0) 0))"
+    assert to_smt(eq((1, 0), 0), ["k0", "k1"]) == "(and (>= k0 0) (>= (- k0) 0))"
     assert to_smt(Conj(()), []) == "true"
     assert to_smt(Disj(()), []) == "false"
-    assert to_smt(Disj((Atom((-1,), 0),)), ["x"]) == "(or (>= (* (- 1) x) 0))"
+    assert to_smt(Disj((Atom((-1,), 0),)), ["x"]) == "(or (>= (- x) 0))"
 
 
 def test_separation_condition(two_place):
@@ -116,7 +117,7 @@ def test_exclude_multiples_is_one_flat_disjunction():
         assert all(type(a) is Atom for a in f.parts), k_hat
         assert "not" not in to_smt(f, [f"k{i}" for i in range(n)]), k_hat
     assert to_smt(exclude_multiples((3, 2)), ["a", "b"]) == (
-        "(or (>= (+ (* (- 2) a) (* 3 b)) 1) (>= (+ (* 2 a) (* (- 3) b)) 1) (>= (* (- 1) a) 0))"
+        "(or (>= (+ (* (- 2) a) (* 3 b)) 1) (>= (+ (* 2 a) (* (- 3) b)) 1) (>= (- a) 0))"
     )
 
 
