@@ -11,7 +11,7 @@ separating inductive half space exists at all.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
@@ -23,7 +23,7 @@ from .formula import (
     trivial_separator_formula,
 )
 from .inductivity import NetCheck, OracleBudgetError, check_net, oracle_check_transition
-from .jsondoc import JsonDoc, key
+from .jsondoc import JsonDoc, Record, key, record
 from .net import HalfSpace, Instance, IntVector, SeparatorVerdict, verify_separator
 
 if TYPE_CHECKING:
@@ -36,8 +36,8 @@ class Outcome(Enum):
     EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class LoopBudget:
+@record
+class LoopBudget(Record):
     """Limits on one synthesis run: candidates, wall seconds, and an optional |k(i)| box."""
 
     max_iterations: int = 200
@@ -51,7 +51,7 @@ class LoopBudget:
             raise ValueError("bound cap must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class SynthesisStats(JsonDoc):
     """Work one synthesis run did: candidates, solver queries, wall time."""
 
@@ -62,7 +62,7 @@ class SynthesisStats(JsonDoc):
     examined: tuple[IntVector, ...]  # normalized candidates, in order
 
 
-@dataclass(frozen=True)
+@record
 class SynthesisResult(JsonDoc):
     """Outcome of synthesize; on FOUND, the certificate with its two checks."""
 
@@ -169,7 +169,7 @@ def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisRe
     return finish(Outcome.EXHAUSTED)
 
 
-@dataclass(frozen=True)
+@record
 class CertificateReport(JsonDoc):
     """Independent re-check of a claimed certificate.
 

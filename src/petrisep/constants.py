@@ -12,10 +12,10 @@ as a string, so past the bit set the cost grows with the runs, not the gaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .intervals import IntervalSet, Span
+from .jsondoc import Record, record
 from .net import Instance, IntVector, Mode, Transition, dot
 
 
@@ -123,7 +123,7 @@ def _threshold_sets(
     ((wlo, whi),) = window.spans
     lo = -math.inf if wlo is None else wlo
     hi = math.inf if whi is None else whi
-    kmin, kmax = min(k, default=0), max(k, default=0)
+    kmin, kmax = (min(k), max(k)) if k else (0, 0)
     coins = sorted({abs(x) for x in k if x != 0})
 
     def one(t: Transition) -> IntervalSet:
@@ -187,8 +187,8 @@ def separator_window(inst: Instance, k: Sequence[int]) -> tuple[int, int]:
     return dot(k, inst.m_final) + 1, dot(k, inst.m_init)
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
+@record
+class ConstantsReport(Record):
     """Inductive thresholds for one k: per transition, combined, and the pick."""
 
     k: IntVector

@@ -18,34 +18,34 @@ negation: every formula is atoms under conjunction and disjunction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
 from operator import mul, sub
 from typing import Sequence, Union
 
+from .jsondoc import Record, record
 from .net import Instance, IntVector, Mode
 
 Formula = Union["Atom", "Conj", "Disj"]
 
 
-@dataclass(frozen=True)
-class Atom:
+@record
+class Atom(Record):
     """coeffs . k >= rhs with concrete integer coefficients."""
 
     coeffs: IntVector
     rhs: int
 
 
-@dataclass(frozen=True)
-class Conj:
+@record
+class Conj(Record):
     """All parts hold; true when there are none."""
 
     parts: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
-class Disj:
+@record
+class Disj(Record):
     """Some part holds; false when there are none."""
 
     parts: tuple[Formula, ...]

@@ -12,20 +12,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Sequence
 
-from .jsondoc import FLAT, INLINE, JsonDoc
+from .jsondoc import FLAT, INLINE, JsonDoc, Record, record
 from .net import HalfSpace, IntVector, PetriNet, Transition, dot
 
 
 def is_mixed(k: Sequence[int]) -> bool:
     """True iff k has both a strictly positive and a strictly negative entry."""
-    return min(k, default=0) < 0 < max(k, default=0)
+    return bool(k) and min(k) < 0 < max(k)
 
 
-@dataclass(frozen=True)
-class TrivialFlags:
+@record
+class TrivialFlags(Record):
     """Cheap sufficient conditions for inductivity of (k, c) against t.
 
     oriented: firing never decreases k.m (k.delta >= 0).
@@ -121,7 +121,7 @@ def _mixed_witness(k: Sequence[int], c: int, t: Transition, kd: int) -> tuple[In
     return x, s
 
 
-@dataclass(frozen=True)
+@record
 class TransitionCheck(JsonDoc):
     """Inductivity verdict of (k, c) against one transition, with a witness if not."""
 
@@ -150,7 +150,7 @@ def check_transition(k: Sequence[int], c: int, t: Transition) -> TransitionCheck
     """Decide t-inductivity of (k, c) exactly."""
     k = tuple(k)
     base, kpost = dot(k, t.pre), dot(k, t.post)
-    kmin, kmax = min(k, default=0), max(k, default=0)
+    kmin, kmax = (min(k), max(k)) if k else (0, 0)
     flags = _flags(c, kmin, kmax, base, kpost)
     if flags.any:
         return TransitionCheck(t.name, True, flags)
@@ -206,7 +206,7 @@ def check_transition(k: Sequence[int], c: int, t: Transition) -> TransitionCheck
     return TransitionCheck(t.name, True, flags, sums_explored=settled)
 
 
-@dataclass(frozen=True)
+@record
 class NetCheck(JsonDoc):
     """Inductivity verdicts against every transition of a net, in its order."""
 
@@ -252,7 +252,7 @@ def oracle_check_transition(
         raise ValueError("oracle budget must be positive")
     k = tuple(k)
     base, kpost = dot(k, t.pre), dot(k, t.post)
-    kmin, kmax = min(k, default=0), max(k, default=0)
+    kmin, kmax = (min(k), max(k)) if k else (0, 0)
     flags = _flags(c, kmin, kmax, base, kpost)
     kd = kpost - base
     if kd >= 0:

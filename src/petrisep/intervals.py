@@ -9,15 +9,15 @@ caller hands it canonical spans as a tuple; every constructor here does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
-from .jsondoc import INLINE, JsonDoc
+from .jsondoc import INLINE, JsonDoc, record
 
 Span = tuple[Optional[int], Optional[int]]
 
 
-@dataclass(frozen=True)
+@record
 class IntervalSet(JsonDoc):
     """A set of integers as canonical spans (see the module docstring)."""
 

@@ -1,4 +1,5 @@
-"""One JSON rule for every report dataclass.
+"""One JSON rule for every report dataclass, and one equality, hash and
+repr for every record.
 
 A dataclass becomes a JSON object of its fields in declaration order,
 keyed by field name; a tuple becomes a list and an enum its value.
@@ -15,8 +16,9 @@ that differ from this rule:
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from reprlib import recursive_repr
 from typing import Union, get_args, get_origin, get_type_hints
 
 _MARK = "json"
@@ -72,7 +74,37 @@ def decode(tp, doc):
     return doc
 
 
-class JsonDoc:
+# Every frozen dataclass of the package is declared with @record and derives
+# from Record (a report through JsonDoc), so dataclasses compiles only its
+# __init__ and frozen __setattr__/__delattr__ and the three methods below are
+# shared.
+record = dataclass(frozen=True, eq=False, repr=False)
+
+
+def _values(r) -> tuple:
+    return tuple(getattr(r, f.name) for f in fields(r) if f.compare)
+
+
+class Record:
+    """Equality, hash and repr read from the dataclass fields, as the methods
+    dataclasses generates give them: equal to a value of the same class with
+    equal field values, the hash of their tuple, and Name(field=value, ...)."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _values(self) == _values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(_values(self))
+
+    @recursive_repr()
+    def __repr__(self):
+        args = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        return f"{self.__class__.__qualname__}({args})"
+
+
+class JsonDoc(Record):
     """Mixin giving a dataclass to_json() and from_json() by the rule above."""
 
     def to_json(self):

@@ -7,12 +7,12 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
-from .jsondoc import JsonDoc
+from .jsondoc import JsonDoc, Record, record
 
 IntVector = tuple[int, ...]
 
@@ -45,8 +45,8 @@ def vec_ge(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x >= y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class Transition:
+@record
+class Transition(Record):
     """A transition with consumption vector `pre` and production vector `post`.
 
     `delta` is the marking change `post - pre`, cached at construction.
@@ -69,7 +69,7 @@ class Transition:
                 f"transition {self.name!r}: pre/post arity mismatch "
                 f"({len(pre)} vs {len(post)})"
             )
-        if min(pre, default=0) < 0 or min(post, default=0) < 0:
+        if pre and (min(pre) < 0 or min(post) < 0):
             raise StructureError(f"transition {self.name!r}: negative flow entry")
         object.__setattr__(self, "delta", tuple(map(sub, post, pre)))
 
@@ -86,8 +86,8 @@ class Transition:
         return vec_add(marking, self.delta)
 
 
-@dataclass(frozen=True)
-class PetriNet:
+@record
+class PetriNet(Record):
     """Named places and transitions whose vectors have one entry per place."""
 
     places: tuple[str, ...]
@@ -119,7 +119,7 @@ class Mode(Enum):
     COVER = "cover"
 
 
-@dataclass(frozen=True)
+@record
 class HalfSpace(JsonDoc):
     """The set of integer vectors m with k . m >= c."""
 
@@ -133,8 +133,8 @@ class HalfSpace(JsonDoc):
         return dot(self.k, m) >= self.c
 
 
-@dataclass(frozen=True)
-class Instance:
+@record
+class Instance(Record):
     """A safety verification instance: prove m_final not reachable/coverable."""
 
     net: PetriNet
@@ -151,11 +151,11 @@ class Instance:
         n = len(self.net.places)
         if len(m0) != n or len(mf) != n:
             raise StructureError("initial/target marking arity mismatch")
-        if min(m0, default=0) < 0 or min(mf, default=0) < 0:
+        if m0 and (min(m0) < 0 or min(mf) < 0):
             raise StructureError("markings must be non-negative")
 
 
-@dataclass(frozen=True)
+@record
 class SeparatorVerdict(JsonDoc):
     """Outcome of the separation check (inductivity checked elsewhere)."""
 
@@ -193,7 +193,7 @@ def verify_separator(inst: Instance, hs: HalfSpace) -> SeparatorVerdict:
     final_outside = not hs.contains(inst.m_final)
     cover_flag = None
     if inst.mode is Mode.COVER:
-        cover_flag = max(hs.k, default=0) <= 0
+        cover_flag = not hs.k or max(hs.k) <= 0
     return SeparatorVerdict(init_inside, final_outside, cover_flag)
 
 
@@ -203,8 +203,8 @@ class ExplorationOutcome(Enum):
     INCONCLUSIVE = "inconclusive"  # state budget hit first
 
 
-@dataclass(frozen=True)
-class ExplorationReport:
+@record
+class ExplorationReport(Record):
     """Result of bounded_explore: outcome, markings stored, depth of the target."""
 
     outcome: ExplorationOutcome

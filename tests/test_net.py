@@ -9,13 +9,19 @@ from petrisep import (
     ExplorationOutcome,
     HalfSpace,
     Instance,
+    IntervalSet,
     Mode,
     PetriNet,
     SeparatorVerdict,
     StructureError,
     Transition,
+    TrivialFlags,
     bounded_explore,
+    check_transition,
     dot,
+    generate_constants,
+    is_mixed,
+    oracle_check_transition,
     random_instance,
     verify_separator,
 )
@@ -96,6 +102,25 @@ def test_instance_validation():
         Instance(net, (0, 0), (1,), Mode.REACH)
     with pytest.raises(StructureError):
         Instance(net, (-1,), (1,), Mode.REACH)
+
+
+def test_empty_vectors_are_valid_and_count_as_both_signs():
+    """A net without places: every vector is empty, and k = () is both
+    k >= 0 and k <= 0 but not mixed."""
+    t = Transition("t", (), ())
+    assert t.delta == ()
+    inst = Instance(PetriNet((), (t,)), (), (), Mode.COVER)
+    assert Instance(PetriNet((), ()), (), ()).net.n == 0
+    verdict = verify_separator(inst, HalfSpace((), 0))
+    assert (verdict.init_inside, verdict.final_outside, verdict.cover_nonpositive) == (
+        True, False, True)
+    assert is_mixed(()) is False
+    flags = TrivialFlags(oriented=True, monotone=False, antitone=True)
+    for check in (check_transition, oracle_check_transition):
+        r = check((), 1, t)
+        assert (r.inductive, r.flags, r.witness) == (True, flags, None)
+    assert generate_constants((), t) == IntervalSet.all()
+    assert generate_constants((), t, (2, 5)) == IntervalSet.between(2, 5)
 
 
 def test_verify_separator_running_example():
