@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from operator import attrgetter
 from reprlib import recursive_repr
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -78,11 +79,18 @@ def decode(tp, doc):
 # from Record (a report through JsonDoc), so dataclasses compiles only its
 # __init__ and frozen __setattr__/__delattr__ and the three methods below are
 # shared.
-record = dataclass(frozen=True, eq=False, repr=False)
+_frozen = dataclass(frozen=True, eq=False, repr=False)
 
 
-def _values(r) -> tuple:
-    return tuple(getattr(r, f.name) for f in fields(r) if f.compare)
+def record(cls):
+    """Make cls a frozen dataclass whose `_values(x)` gives the tuple of x's
+    compare fields, read by Record's shared equality and hash."""
+    cls = _frozen(cls)
+    names = [f.name for f in fields(cls) if f.compare]
+    get = attrgetter(*names)
+    # attrgetter of one name returns the bare value, not a 1-tuple
+    cls._values = staticmethod(get if len(names) > 1 else lambda r: (get(r),))
+    return cls
 
 
 class Record:
@@ -92,11 +100,12 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return _values(self) == _values(other)
+            values = self._values
+            return values(self) == values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(_values(self))
+        return hash(self._values(self))
 
     @recursive_repr()
     def __repr__(self):

@@ -7,6 +7,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import field
 from enum import Enum
 from operator import mul, sub
@@ -127,7 +128,8 @@ class HalfSpace(JsonDoc):
     c: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(self.k))
+        if type(self.k) is not tuple:
+            object.__setattr__(self, "k", tuple(self.k))
 
     def contains(self, m: Sequence[int]) -> bool:
         return dot(self.k, m) >= self.c
@@ -212,6 +214,9 @@ class ExplorationReport(Record):
     steps_to_target: Optional[int] = None  # BFS depth at which target was found
 
 
+_DIGIT_BITS = sys.int_info.bits_per_digit
+
+
 def bounded_explore(inst: Instance, max_states: int) -> ExplorationReport:
     """Breadth-first search of the firing relation from m_init.
 
@@ -220,24 +225,52 @@ def bounded_explore(inst: Instance, max_states: int) -> ExplorationReport:
     answer is exhaustive only if the frontier emptied within the budget;
     an inconclusive report gives the budget as its states_visited.
 
-    Markings are packed into single Python ints, `w` bits per place, with
-    the top bit of each field kept as a guard `G`. A transition is enabled
-    at `m` iff `((m | G) - pack(pre)) & G == G`, and firing adds the packed
-    difference `pack(post) - pack(pre)`; the cover test is the guard test
-    against the packed target. This is exact while every value met stays
-    below the guard bit, so
+    Markings are packed into single Python ints (see `_packing`), `w` bits
+    per place, with the top bit of each field kept as a guard. Packing is
+    exact for every marking within `f` firings of m_init when
 
-        w = (top + max_states * grow).bit_length() + 1
+        w = (top + f * grow).bit_length() + 1
 
     where `top` is the largest entry of m_init, m_final and every `pre`,
-    and `grow` the largest positive entry of any `delta` (0 if none): a
-    marking at BFS depth d is at most `top + d * grow`, and d never exceeds
-    the number of stored states, which never exceeds `max_states`.
+    and `grow` the largest positive entry of any `delta` (0 if none): such
+    a marking is at most `top + f * grow` in every place, in any search
+    order.
+
+    The search runs in up to two passes of one loop, which visit the same
+    markings in the same order:
+
+    - The first pass packs for the horizon H, the most firings whose
+      markings, with their guards, still fit one digit of a Python int
+      (`sys.int_info.bits_per_digit` bits), so every `|`, `-`, `&`, `+` and
+      set lookup works on one digit. A marking at BFS depth d is d firings
+      from m_init, so the pass is exact until it would expand depth H + 1,
+      and there it stops without an answer.
+    - Only then does the second pass run, from scratch, packed for
+      `f = max_states`: a marking at depth d has d distinct stored states
+      before it, and the search never stores more than `max_states`.
+
+    The first pass is skipped when it cannot help: when no transition adds
+    tokens (`grow == 0`, so the full width is already the narrowest), when
+    H >= max_states, or when H < 1 (many places, or a `top` that alone
+    fills the digit).
     """
     if max_states <= 0:
         raise StructureError("exploration budget must be positive")
 
-    transitions = inst.net.transitions
+    top, grow = _top_and_grow(inst)
+    cover = inst.mode is Mode.COVER
+    field_bits = _DIGIT_BITS // inst.net.n if grow else 0
+    horizon = ((1 << (field_bits - 1)) - 1 - top) // grow if field_bits else 0
+    if 0 < horizon < max_states:
+        report = _search(_packing(inst, top, grow, horizon), cover, max_states, horizon)
+        if report is not None:
+            return report
+    return _search(_packing(inst, top, grow, max_states), cover, max_states, max_states)
+
+
+def _top_and_grow(inst: Instance) -> tuple[int, int]:
+    """The largest entry of m_init, m_final and every `pre`, and the
+    largest positive entry of any `delta` (0 if none)."""
     top = grow = 0
     for x in inst.m_init:
         if x > top:
@@ -245,35 +278,54 @@ def bounded_explore(inst: Instance, max_states: int) -> ExplorationReport:
     for x in inst.m_final:
         if x > top:
             top = x
-    for t in transitions:
+    for t in inst.net.transitions:
         for x in t.pre:
             if x > top:
                 top = x
         for x in t.delta:
             if x > grow:
                 grow = x
-    w = (top + max_states * grow).bit_length() + 1
+    return top, grow
 
+
+def _packing(inst: Instance, top: int, grow: int, firings: int):
+    """The packed guard, m_init, m_final and moves `(pre, post - pre)` of
+    inst, at the width that is exact within `firings` firings of m_init.
+
+    A transition is enabled at `m` iff `((m | guard) - pre) & guard ==
+    guard`, and firing adds the packed difference; the cover test is the
+    guard test against the packed target. Both are exact while every value
+    met stays below its field's guard bit.
+    """
+    w = (top + firings * grow).bit_length() + 1
+    n = inst.net.n
     guard = start = target = 0
-    for i in range(inst.net.n - 1, -1, -1):
+    for i in range(n - 1, -1, -1):
         guard = (guard << w) | (1 << (w - 1))
         start = (start << w) | inst.m_init[i]
         target = (target << w) | inst.m_final[i]
     moves = []
-    for t in transitions:
+    for t in inst.net.transitions:
         pre = post = 0
-        for i in range(inst.net.n - 1, -1, -1):
+        for i in range(n - 1, -1, -1):
             pre = (pre << w) | t.pre[i]
             post = (post << w) | t.post[i]
         moves.append((pre, post - pre))
-    cover = inst.mode is Mode.COVER
+    return guard, start, target, moves
 
+
+def _search(packing, cover: bool, max_states: int, horizon: int) -> Optional[ExplorationReport]:
+    """The breadth-first loop of bounded_explore over packed markings; None
+    when it would expand a layer deeper than `horizon` firings."""
+    guard, start, target, moves = packing
     if start == target or cover and ((start | guard) - target) & guard == guard:
         return ExplorationReport(ExplorationOutcome.REACHED, 1, 0)
     seen = {start}
     layer = [start]
     depth = 0
     while layer:
+        if depth == horizon:
+            return None
         depth += 1
         nxt = []
         for m in layer:

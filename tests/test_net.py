@@ -1,6 +1,7 @@
 """Core model types: transitions, nets, half spaces, exploration."""
 
 import random
+import sys
 from collections import deque
 
 import pytest
@@ -64,12 +65,15 @@ def test_constructors_store_tuples_as_given_and_convert_the_rest():
     assert net.places is places and net.transitions is ts
     inst = Instance(net, pre, post)
     assert inst.m_init is pre and inst.m_final is post
+    assert HalfSpace(pre, 9).k is pre
     # lists, iterators and tuple subclasses become plain tuples
     u = Transition("u", [1, 0], Vec((0, 1)))
     net = PetriNet(iter(["p", "q"]), [t, u])
     inst = Instance(net, Vec((1, 0)), iter((0, 1)))
-    for v in (u.pre, u.post, net.places, net.transitions, inst.m_init, inst.m_final):
+    hs = HalfSpace(Vec((3, 2)), 9)
+    for v in (u.pre, u.post, net.places, net.transitions, inst.m_init, inst.m_final, hs.k):
         assert type(v) is tuple
+    assert hs == HalfSpace([3, 2], 9) == HalfSpace(iter((3, 2)), 9)
     assert inst == Instance(PetriNet(places, (t, Transition("u", pre, post))), pre, post)
     with pytest.raises(StructureError, match="non-negative"):
         Instance(net, [1, -1], Vec((0, 1)))
@@ -160,7 +164,7 @@ def test_bounded_explore_running_example_cannot_terminate(two_place):
     report = bounded_explore(two_place, max_states=2_000)
     assert report.outcome is ExplorationOutcome.INCONCLUSIVE
     assert report.steps_to_target is None
-    assert report.states_visited >= 2_000
+    assert report.states_visited == 2_000
 
 
 def test_bounded_explore_not_reached_on_finite_state_space():
@@ -196,8 +200,9 @@ def test_bounded_explore_budget_gives_inconclusive():
         bounded_explore(inst, max_states=0)
 
 
-def reference_explore(inst, max_states):
-    """Tuple breadth-first search with bounded_explore's order and report."""
+def reference_bfs(inst, max_states):
+    """Tuple breadth-first search with bounded_explore's order and report,
+    and the depth of the last marking it generated."""
 
     def hits(m):
         if inst.mode is Mode.COVER:
@@ -205,10 +210,11 @@ def reference_explore(inst, max_states):
         return m == inst.m_final
 
     if hits(inst.m_init):
-        return ExplorationOutcome.REACHED, 1, 0
+        return ExplorationOutcome.REACHED, 1, 0, 0
     moves = [(t.pre, t.delta) for t in inst.net.transitions]
     seen = {inst.m_init}
     frontier = deque([(inst.m_init, 0)])
+    deepest = 0
     while frontier:
         m, depth = frontier.popleft()
         for pre, delta in moves:
@@ -217,13 +223,18 @@ def reference_explore(inst, max_states):
             m2 = tuple(a + d for a, d in zip(m, delta))
             if m2 in seen:
                 continue
+            deepest = depth + 1
             if hits(m2):
-                return ExplorationOutcome.REACHED, len(seen) + 1, depth + 1
+                return ExplorationOutcome.REACHED, len(seen) + 1, deepest, deepest
             seen.add(m2)
             if len(seen) >= max_states:
-                return ExplorationOutcome.INCONCLUSIVE, max_states, None
-            frontier.append((m2, depth + 1))
-    return ExplorationOutcome.NOT_REACHED, len(seen), None
+                return ExplorationOutcome.INCONCLUSIVE, max_states, None, deepest
+            frontier.append((m2, deepest))
+    return ExplorationOutcome.NOT_REACHED, len(seen), None, deepest
+
+
+def reference_explore(inst, max_states):
+    return reference_bfs(inst, max_states)[:3]
 
 
 def test_bounded_explore_matches_tuple_reference():
@@ -305,3 +316,60 @@ def test_bounded_explore_huge_budget_on_finite_net():
     report = bounded_explore(inst, max_states=10**12)
     assert report.outcome is ExplorationOutcome.NOT_REACHED
     assert report.states_visited == 3
+
+
+def one_digit_horizon(inst):
+    """The first pass's horizon, restated: the most firings from m_init
+    whose markings, one guard bit above each place's value, fit one digit
+    of a Python int; None where bounded_explore runs a single pass."""
+    grow = max((x for t in inst.net.transitions for x in t.delta), default=0)
+    if grow <= 0:
+        return None
+    top = max(*inst.m_init, *inst.m_final, *(x for t in inst.net.transitions for x in t.pre))
+    field_bits = sys.int_info.bits_per_digit // inst.net.n
+    horizon = ((1 << (field_bits - 1)) - 1 - top) // grow if field_bits else 0
+    return horizon if horizon >= 1 else None
+
+
+def horizon_cases():
+    """3-place nets: fixed ones whose breadth-first search runs past the
+    horizon, two that bounded_explore searches in one pass, and seeded
+    random ones with about a horizon's worth of tokens."""
+    guard = 1 << (sys.int_info.bits_per_digit // 3 - 1)  # a field's guard bit
+    n = guard * 3 // 4  # tokens of a chain that crosses the horizon
+    move = Transition("move", (1, 0, 0), (0, 1, 0))
+    pump = Transition("pump", (0, 0, 0), (1, 0, 0))
+    drain = (Transition("drain-p", (1, 0, 0), (0, 0, 0)), Transition("drain-q", (0, 1, 0), (0, 0, 0)))
+    places = ("p", "q", "r")
+    nets = [
+        (PetriNet(places, (move,)), (n, 0, 0), (0, n, 0)),  # reached at depth n
+        (PetriNet(places, (move,)), (n, 0, 0), (0, 0, 1)),  # n + 1 markings, none hits
+        # past the budget; a carry out of p's field would read as q's token
+        (PetriNet(places, (pump,)), (0, 0, 0), (0, 1, 0)),
+        (PetriNet(places, drain), (2 * guard, 1, 0), (0, 0, 0)),  # grow == 0
+        (PetriNet(places, (move,)), (2 * guard, 0, 0), (0, 2 * guard, 0)),  # top > guard
+    ]
+    rng = random.Random(25)
+    for _ in range(12):
+        inst = random_instance(rng.randrange(10**9), max_flow=2,
+                               max_marking=rng.choice((guard // 2, guard)))
+        nets.append((inst.net, inst.m_init, inst.m_final))
+    return [Instance(net, m0, mf, mode) for net, m0, mf in nets for mode in Mode]
+
+
+def test_bounded_explore_matches_reference_past_the_one_digit_horizon():
+    crossed = set()
+    single_pass = 0
+    for inst in horizon_cases():
+        horizon = one_digit_horizon(inst)
+        for budget in (1, 2, 4000):
+            r = bounded_explore(inst, max_states=budget)
+            *expected, deepest = reference_bfs(inst, budget)
+            assert (r.outcome, r.states_visited, r.steps_to_target) == tuple(expected), (
+                inst, budget)
+            if horizon is None:
+                single_pass += 1
+            elif horizon < deepest:
+                crossed.add((inst.mode, r.outcome))
+    assert crossed == {(mode, outcome) for mode in Mode for outcome in ExplorationOutcome}
+    assert single_pass >= 2 * 2 * 3  # the last two fixed nets, both modes, every budget
