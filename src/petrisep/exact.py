@@ -384,10 +384,6 @@ def _lattice_has_point(rows: list, n: int) -> bool:
     return True
 
 
-class _Found(Exception):
-    pass
-
-
 class _Search:
     def __init__(self, formulas, nk: int, deadline: float):
         self.nk = nk
@@ -410,19 +406,6 @@ class _Search:
         if self._ticks & 63 == 0 and time.monotonic() > self.deadline:
             raise SolverTimeoutError("built-in backend ran out of time")
 
-    def run(self) -> Optional[IntVector]:
-        pending: list = []
-        if self._assert(self.root, pending):
-            try:
-                self._node(pending, 0)
-            except _Found:
-                pass
-        if self.best is None and self.gave_up:
-            raise SolverUnknownError(
-                f"built-in backend gave up below {MAX_BRANCH_DEPTH} integer branches"
-            )
-        return self.best
-
     def _assert(self, node, pending: list) -> bool:
         if type(node) is _Lit:
             return self.lp.assert_lit(node)
@@ -444,11 +427,10 @@ class _Search:
         return _lattice_has_point(rows, self.nk)
 
     def _offer(self, k: list[int]) -> None:
-        """Record a model; stop unless a smaller one may still exist."""
+        """Record a model and cap sum a(i) below it; after a zero model the
+        cap is -1, which no point meets, so every open node ends."""
         total = sum(map(abs, k))
         self.best, self.best_sum = tuple(k), total
-        if total == 0:
-            raise _Found
         self.lp.cap(self.total, total - 1)
 
     def _node(self, pending: list, depth: int) -> None:
@@ -480,10 +462,7 @@ class _Search:
                         self._node(more, depth)
                     lp.undo(mark)
                 return
-            if den == 1:
-                self._offer(nums)
-                continue
-            # A rational model: its integer multiple may already be one.
+            # The point scaled to integers (itself when den is 1) may be a model.
             g = math.gcd(den, *nums)
             k = [x // g for x in nums]
             if (self.best is None or sum(map(abs, k)) < self.best_sum) and self.root.holds(k, 1):
@@ -514,6 +493,14 @@ def solve(formulas: Sequence[Formula], nvars: int, deadline: float) -> Optional[
     SolverUnknownError when no model was found and the search was incomplete.
     """
     try:
-        return _Search(formulas, nvars, deadline).run()
+        search = _Search(formulas, nvars, deadline)
+        pending: list = []
+        if search._assert(search.root, pending):
+            search._node(pending, 0)
     except RecursionError:
         raise SolverUnknownError("built-in backend: formula nests too deeply")
+    if search.best is None and search.gave_up:
+        raise SolverUnknownError(
+            f"built-in backend gave up below {MAX_BRANCH_DEPTH} integer branches"
+        )
+    return search.best

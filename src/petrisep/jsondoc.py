@@ -84,12 +84,14 @@ _frozen = dataclass(frozen=True, eq=False, repr=False)
 
 def record(cls):
     """Make cls a frozen dataclass whose `_values(x)` gives the tuple of x's
-    compare fields, read by Record's shared equality and hash."""
+    compare fields, read by Record's shared equality and hash, and whose
+    `_repr_names` names its repr fields, read by Record's shared repr."""
     cls = _frozen(cls)
     names = [f.name for f in fields(cls) if f.compare]
     get = attrgetter(*names)
     # attrgetter of one name returns the bare value, not a 1-tuple
     cls._values = staticmethod(get if len(names) > 1 else lambda r: (get(r),))
+    cls._repr_names = tuple(f.name for f in fields(cls) if f.repr)
     return cls
 
 
@@ -109,7 +111,7 @@ class Record:
 
     @recursive_repr()
     def __repr__(self):
-        args = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_names)
         return f"{self.__class__.__qualname__}({args})"
 
 

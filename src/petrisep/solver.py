@@ -68,17 +68,11 @@ class SolverConfig:
         # seconds; nan fails the chained comparison too.
         if not 0 < self.timeout_ms <= threading.TIMEOUT_MAX * 1000:
             raise ValueError(f"timeout must be in (0, {threading.TIMEOUT_MAX * 1000:.0f}] ms")
+        if isinstance(self.command, str):
+            # tuple("z3 -in") would be its characters; shlex.split it instead
+            raise ValueError(f"command must be a sequence of arguments, not {self.command!r}")
         if self.command is not None:
             self.command = tuple(self.command)
-
-    def resolved_command(self) -> Optional[tuple[str, ...]]:
-        """The external solver to run, or None for the built-in backend."""
-        if self.command:
-            return self.command
-        try:
-            return discover_solver()
-        except SolverNotFoundError:
-            return None
 
 
 def discover_solver() -> tuple[str, ...]:
@@ -131,7 +125,11 @@ class SmtSession:
 
     def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
-        self.command = cfg.resolved_command()
+        # the configured command, else a native z3, else the built-in backend
+        self.command = cfg.command or None
+        if self.command is None:
+            with contextlib.suppress(SolverNotFoundError):
+                self.command = discover_solver()
         self.queries = 0
         self._proc: Optional[subprocess.Popen] = None
         self._lines: Optional[queue.Queue] = None

@@ -53,6 +53,18 @@ def test_check_negative_coefficients_as_separate_tokens(tmp_path, capsys):
     assert "certificate holds" in out
 
 
+def test_check_labels_antitone_transitions(tmp_path, capsys):
+    # k <= 0 and k.pre = -11 < c: no marking enabling a transition is inside
+    path = tmp_path / "family.net"
+    path.write_text(format_instance(nontrivial_net(3)))
+    code = main(["check", str(path), "--k", "-4", "-4", "-3", "--c", "-10"])
+    out = capsys.readouterr().out
+    assert code == 1, out
+    for name in ("t1", "t2", "t3"):
+        assert f"transition {name}: inductive (antitone)" in out
+    assert "initial marking outside half space" in out
+
+
 def test_check_json_output(example_file, capsys):
     code = main(["check", example_file, "--k", "3,2", "--c", "8", "--json", "-"])
     captured = capsys.readouterr()

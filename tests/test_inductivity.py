@@ -1,8 +1,10 @@
 """Exact inductivity checking against brute force and by hand."""
 
+import heapq
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +28,7 @@ from petrisep import (
     ussp_halfspace,
     witness_bound,
 )
+from petrisep import inductivity
 
 from conftest import two_place_instance
 
@@ -368,6 +371,25 @@ def test_check_transition_pinned_results():
     for k, c, t, expected in cases:
         r = check_transition(k, c, t)
         assert (r.inductive, r.witness, r.witness_value, r.sums_explored) == expected, k
+
+
+def test_residue_search_skips_stale_heap_entries(monkeypatch):
+    # residues 6 and 8 are each pushed twice, at 58 after 45 and at 73
+    # after 60; the later pops are stale and settle nothing
+    pops = []
+
+    def heappop(heap):
+        pops.append(heapq.heappop(heap))
+        return pops[-1]
+
+    counting = SimpleNamespace(heappop=heappop, heappush=heapq.heappush)
+    monkeypatch.setattr(inductivity, "heapq", counting)
+    k, c, t = (29, 13, 15), 452, Transition("t", (3, 0, 2), (2, 2, 2))
+    r = check_transition(k, c, t)
+    assert len(pops) - len({res for _, res in pops}) == 2
+    assert (r.inductive, r.witness, r.witness_value, r.sums_explored) == (
+        False, (0, 20, 5), 452, 10)
+    assert not oracle_check_transition(k, c, t, max_points=10**8).inductive
 
 
 def test_transition_check_json_round_trip():

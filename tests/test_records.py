@@ -139,6 +139,18 @@ def test_record_repr(name):
     assert repr(records()[name]) == REPRS[name]
 
 
+def test_record_repr_reads_no_fields_per_call(monkeypatch):
+    # @record reads the repr field names once, when the class is built
+    built = records()
+
+    def fields_(*args):
+        raise AssertionError("dataclasses.fields read by repr")
+
+    monkeypatch.setattr(petrisep.jsondoc, "fields", fields_)
+    for name, value in built.items():
+        assert repr(value) == REPRS[name]
+
+
 @pytest.mark.parametrize("name", sorted(REPRS))
 def test_record_equality_and_hash(name):
     built = records()

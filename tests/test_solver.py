@@ -84,6 +84,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="timeout"):
             SolverConfig(timeout_ms=timeout_ms)
     assert SolverConfig(timeout_ms=1).timeout_ms == 1
+    # tuple("z3 -in") would spawn 'z'; the string fails here, not at spawn
+    with pytest.raises(ValueError, match="sequence of arguments"):
+        SolverConfig(command="z3 -in")
+    assert SolverConfig(command=["z3", "-in"]).command == ("z3", "-in")
 
 
 # -- the external pipe, against a scripted solver --------------------------
@@ -252,6 +256,15 @@ def test_minimization_finds_smallest_absolute_sum():
     assert outcomes == {(2, False), (2, True), (3, False), (3, True)}
 
 
+def test_zero_model_is_the_least_model():
+    # k0 >= k1 holds at k = 0: the built-in search ends on a cap of -1, and
+    # an external solver's first model 0 leaves no cap to probe
+    with SmtSession(SolverConfig()) as s:
+        s.begin(2)
+        s.add(Atom((1, -1), 0))
+        assert s.check() == (0, 0)
+
+
 def test_minimization_handles_disjunctions_and_negatives():
     base = [
         Disj((Atom((-1, 0), 4), Atom((1, 0), 9))),
@@ -322,6 +335,30 @@ def test_builtin_normal_form_and_its_negation_match_evaluate():
             p = list(p)
             assert node.holds(p, 1) == evaluate(f, p), (f, p)
             assert neg.holds(p, 1) == (not evaluate(f, p)), (f, p)
+
+
+def test_builtin_least_model_matches_brute_force():
+    # Random formulas over 2-3 unknowns. A least sum |k(i)| of at most 6
+    # lies in the box [-6, 6]^n, so brute force there finds it; when the box
+    # holds no model, solve may find one outside it, but never one inside.
+    rng = random.Random(7)
+    agreed = zero = empty = 0
+    for _ in range(400):
+        n = rng.randint(2, 3)
+        formulas = [random_formula(rng, n, 3) for _ in range(rng.randint(1, 2))]
+        models = brute_force_models(formulas, n, 6)
+        least = min((sum(map(abs, k)) for k in models), default=None)
+        model = solve(formulas, n, time.monotonic() + 60)
+        if model is not None:
+            assert all(evaluate(f, model) for f in formulas), (formulas, model)
+        if least is None:
+            empty += 1
+            assert model is None or max(map(abs, model)) > 6, (formulas, model)
+        elif least <= 6:
+            agreed += 1
+            zero += least == 0
+            assert model is not None and sum(map(abs, model)) == least, (formulas, model)
+    assert (agreed, zero, empty) == (291, 166, 108)
 
 
 def test_begin_resets_state_for_reuse():
