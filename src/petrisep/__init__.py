@@ -125,25 +125,13 @@ __all__ = [
 ]
 
 # The SMT layer (solver.py, with subprocess and threading, and exact.py
-# behind it) loads on the first synthesis or the first use of one of
-# these names, so `import petrisep` and the other commands skip it.
-_SOLVER_NAMES = frozenset(
-    {
-        "SmtSession",
-        "SolverConfig",
-        "SolverError",
-        "SolverNotFoundError",
-        "SolverParseError",
-        "SolverProcessError",
-        "SolverTimeoutError",
-        "SolverUnknownError",
-        "discover_solver",
-    }
-)
+# behind it) loads on the first synthesis or the first use of a name in
+# __all__ that the imports above leave unbound, so `import petrisep` and
+# the other commands skip it.
 
 
 def __getattr__(name: str):
-    if name not in _SOLVER_NAMES:
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import solver
 

@@ -126,13 +126,12 @@ def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisRe
         if report.chosen is None:
             return None
         hs = HalfSpace(k_hat, report.chosen)
-        sep = verify_separator(inst, hs)
-        chk = check_net(inst.net, hs)
-        if not (sep.ok and chk.inductive):
+        rep = certify(inst, hs, oracle_points=0)
+        if not rep.ok:
             raise RuntimeError(
                 f"internal error: candidate k={hs.k} c={hs.c} failed re-verification"
             )
-        return hs, sep, chk
+        return hs, rep.separator, rep.inductivity
 
     session.begin(n)
     # Fast path: a vector trivial for every transition, probed in a scope

@@ -32,10 +32,10 @@ from .net import (
     HalfSpace,
     Instance,
     Mode,
+    SeparatorVerdict,
     StructureError,
     bounded_explore,
     dot,
-    verify_separator,
 )
 
 EXIT_OK = 0
@@ -93,16 +93,15 @@ def _print_transition_lines(per_transition) -> None:
             )
 
 
-def _print_separation(inst: Instance, hs: HalfSpace) -> None:
-    vi = dot(hs.k, inst.m_init)
-    vf = dot(hs.k, inst.m_final)
+def _print_separation(inst: Instance, hs: HalfSpace, sep: SeparatorVerdict) -> None:
     print(
-        f"separation: k.m_init = {vi} {'>=' if vi >= hs.c else '<'} {hs.c}; "
-        f"k.m_final = {vf} {'<' if vf < hs.c else '>='} {hs.c}"
+        f"separation: k.m_init = {dot(hs.k, inst.m_init)} "
+        f"{'>=' if sep.init_inside else '<'} {hs.c}; "
+        f"k.m_final = {dot(hs.k, inst.m_final)} "
+        f"{'<' if sep.final_outside else '>='} {hs.c}"
     )
-    if inst.mode is Mode.COVER:
-        ok = all(x <= 0 for x in hs.k)
-        print(f"cover condition k <= 0: {'holds' if ok else 'VIOLATED'}")
+    if sep.cover_nonpositive is not None:
+        print(f"cover condition k <= 0: {'holds' if sep.cover_nonpositive else 'VIOLATED'}")
 
 
 def cmd_synthesize(args) -> int:
@@ -129,7 +128,7 @@ def cmd_synthesize(args) -> int:
         print(f"k = {hs.k}")
         print(f"c = {hs.c}")
         _print_transition_lines(result.inductivity.per_transition)
-        _print_separation(inst, hs)
+        _print_separation(inst, hs, result.separator)
     print(
         f"iterations: {stats.iterations}, solver queries: {stats.solver_queries}, "
         f"wall: {stats.wall_seconds:.2f}s"
@@ -152,7 +151,7 @@ def cmd_check(args) -> int:
     report = certify(inst, hs, oracle_points=0 if args.skip_oracle else 200_000)
     print(f"k = {hs.k}, c = {hs.c}, mode = {inst.mode.value}")
     _print_transition_lines(report.inductivity.per_transition)
-    _print_separation(inst, hs)
+    _print_separation(inst, hs, report.separator)
     # certify lists the oracle and the checker in the net's transition order
     for (name, verdict), exact in zip(
         report.oracle, report.inductivity.per_transition, strict=True
@@ -317,8 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--solver", help="SMT-LIB2 solver with push/pop on stdin, e.g. 'z3 -in'")
     p.add_argument("--timeout-ms", type=int, default=60_000, help="per solver query")
-    p.add_argument("--max-iters", type=int, default=200, help="candidate vectors to try")
-    p.add_argument("--max-seconds", type=float, default=300.0, help="total wall budget")
+    p.add_argument(
+        "--max-iters",
+        type=int,
+        default=LoopBudget.max_iterations,
+        help="candidate vectors to try",
+    )
+    p.add_argument(
+        "--max-seconds", type=float, default=LoopBudget.max_seconds, help="total wall budget"
+    )
     p.add_argument(
         "--max-bound", type=int, help="box |k(i)| <= MAX_BOUND on every candidate; exhausted if dry"
     )

@@ -102,9 +102,9 @@ def _convert(f: Formula):
     if isinstance(f, Atom):
         return _lit(tuple((i, c) for i, c in enumerate(f.coeffs) if c), f.rhs)
     if isinstance(f, Conj):
-        return _conj([_convert(p) for p in f.parts])
+        return _join(_And, [_convert(p) for p in f.parts])
     if isinstance(f, Disj):
-        return _disj([_convert(p) for p in f.parts])
+        return _join(_Or, [_convert(p) for p in f.parts])
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -121,31 +121,23 @@ def _lit(terms: tuple, lo: int):
 def _negate(node):
     if type(node) is _Lit:
         return _lit(tuple((v, -c) for v, c in node.terms), 1 - node.lo)
-    if type(node) is _Or:
-        return _conj([_negate(p) for p in node.parts])
-    return _disj([_negate(p) for p in node.parts])
+    dual = _And if type(node) is _Or else _Or
+    return _join(dual, [_negate(p) for p in node.parts])
 
 
-def _conj(parts):
+def _join(cls, parts):
+    """parts under the connective cls (_And or _Or), flattened: a nested
+    cls node is spliced in, FALSE under _And (TRUE under _Or) is the whole
+    answer, and no parts at all give TRUE (FALSE)."""
+    unit, zero = (TRUE, FALSE) if cls is _And else (FALSE, TRUE)
     flat = []
     for p in parts:
-        if p is FALSE:
-            return FALSE
-        flat.extend(p.parts if type(p) is _And else (p,))
+        if p is zero:
+            return zero
+        flat.extend(p.parts if type(p) is cls else (p,))
     if len(flat) < 2:
-        return flat[0] if flat else TRUE
-    return _And(tuple(flat))
-
-
-def _disj(parts):
-    flat = []
-    for p in parts:
-        if p is TRUE:
-            return TRUE
-        flat.extend(p.parts if type(p) is _Or else (p,))
-    if len(flat) < 2:
-        return flat[0] if flat else FALSE
-    return _Or(tuple(flat))
+        return flat[0] if flat else unit
+    return cls(tuple(flat))
 
 
 def _reduce(den: int, coeffs: list) -> tuple[int, list]:
@@ -388,7 +380,7 @@ class _Search:
     def __init__(self, formulas, nk: int, deadline: float):
         self.nk = nk
         self.deadline = deadline
-        self.root = _conj([_convert(f) for f in formulas])
+        self.root = _join(_And, [_convert(f) for f in formulas])
         self.best: Optional[IntVector] = None
         self.best_sum: Optional[int] = None
         self.gave_up = False

@@ -10,6 +10,16 @@ from .constants import extended_euclid_vector
 from .net import HalfSpace, Instance, Mode, PetriNet, Transition, dot
 
 
+def _family_index(n: int, j: Optional[int]) -> int:
+    """The distinguished transition of nontrivial_net(n, j), checked with n."""
+    if n < 3:
+        raise ValueError("family needs n >= 3")
+    j = n if j is None else j
+    if not 1 <= j <= n:
+        raise ValueError(f"j must be in [1, {n}]")
+    return j
+
+
 def nontrivial_net(n: int, j: Optional[int] = None) -> Instance:
     """Family needing a non-trivial certificate: n places, n transitions.
 
@@ -19,11 +29,7 @@ def nontrivial_net(n: int, j: Optional[int] = None) -> Instance:
     marking is unreachable, but no half space trivial for every transition
     shows it; dropping any single transition would make one exist.
     """
-    if n < 3:
-        raise ValueError("family needs n >= 3")
-    j = n if j is None else j
-    if not 1 <= j <= n:
-        raise ValueError(f"j must be in [1, {n}]")
+    j = _family_index(n, j)
     places = tuple(f"p{i}" for i in range(1, n + 1))
     ones = (1,) * n
     transitions = []
@@ -36,11 +42,7 @@ def nontrivial_net(n: int, j: Optional[int] = None) -> Instance:
 
 def nontrivial_certificate(n: int, j: Optional[int] = None) -> HalfSpace:
     """The known certificate for nontrivial_net(n, j)."""
-    if n < 3:
-        raise ValueError("family needs n >= 3")
-    j = n if j is None else j
-    if not 1 <= j <= n:
-        raise ValueError(f"j must be in [1, {n}]")
+    j = _family_index(n, j)
     k = tuple(-n if i == j else -(n + 1) for i in range(1, n + 1))
     return HalfSpace(k, -n * (n + 1))
 

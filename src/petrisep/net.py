@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 from dataclasses import field
 from enum import Enum
-from operator import mul, sub
+from operator import add, ge, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .jsondoc import JsonDoc, Record, record
@@ -31,19 +31,6 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise StructureError(f"length mismatch: {len(a)} vs {len(b)}")
     return sum(map(mul, a, b))
-
-
-def vec_add(a: Sequence[int], b: Sequence[int]) -> IntVector:
-    if len(a) != len(b):
-        raise StructureError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_ge(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Componentwise a >= b."""
-    if len(a) != len(b):
-        raise StructureError(f"length mismatch: {len(a)} vs {len(b)}")
-    return all(x >= y for x, y in zip(a, b))
 
 
 @record
@@ -76,7 +63,9 @@ class Transition(Record):
 
     def is_enabled(self, marking: Sequence[int]) -> bool:
         """True iff the marking dominates `pre` componentwise."""
-        return vec_ge(marking, self.pre)
+        if len(marking) != len(self.pre):
+            raise StructureError(f"length mismatch: {len(marking)} vs {len(self.pre)}")
+        return all(map(ge, marking, self.pre))
 
     def fire(self, marking: Sequence[int]) -> IntVector:
         """Fire from an enabling marking; returns marking + delta."""
@@ -84,7 +73,7 @@ class Transition(Record):
             raise StructureError(
                 f"transition {self.name!r} not enabled at {tuple(marking)}"
             )
-        return vec_add(marking, self.delta)
+        return tuple(map(add, marking, self.delta))
 
 
 @record

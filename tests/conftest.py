@@ -42,6 +42,39 @@ def is_multiple_of(k, k_hat) -> bool:
     return a >= 1 and all(x == a * y for x, y in zip(k, k_hat))
 
 
+def backward_coverable(inst: Instance, max_steps: int = 20_000):
+    """Reference coverability: can some marking >= m_final be reached from
+    m_init? True or False, or None once max_steps pre-images were taken.
+
+    Backward search over minimal bases (Abdulla, Cerans, Jonsson and Tsay,
+    LICS 1996): the markings from which firing t covers m are those >=
+    max(pre, m - delta). The target is coverable iff m_init lies above some
+    basis element; each new element is kept only if no element lies below it.
+    """
+
+    def above(a, b):
+        return all(x >= y for x, y in zip(a, b))
+
+    basis = [inst.m_final]
+    frontier = [inst.m_final]
+    steps = 0
+    while frontier:
+        fresh = []
+        for m in frontier:
+            if above(inst.m_init, m):
+                return True
+            for t in inst.net.transitions:
+                steps += 1
+                if steps > max_steps:
+                    return None
+                p = tuple(max(a, x - d) for a, x, d in zip(t.pre, m, t.delta))
+                if not any(above(p, b) for b in basis):
+                    basis = [b for b in basis if not above(b, p)] + [p]
+                    fresh.append(p)
+        frontier = fresh
+    return False
+
+
 def eq(coeffs, b) -> Conj:
     """coeffs . k = b, as the two atoms coeffs . k >= b and -coeffs . k >= -b."""
     return Conj((Atom(coeffs, b), Atom(tuple(-c for c in coeffs), -b)))

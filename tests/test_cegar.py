@@ -24,6 +24,7 @@ from petrisep import (
     certify,
     check_net,
     constants_for_instance,
+    dot,
     nontrivial_certificate,
     nontrivial_net,
     random_instance,
@@ -35,7 +36,7 @@ from petrisep import solver as solver_module
 from petrisep.net import ExplorationOutcome
 from petrisep.solver import SolverNotFoundError, SolverTimeoutError
 
-from conftest import fake_smt_command, is_multiple_of, two_place_instance
+from conftest import backward_coverable, fake_smt_command, is_multiple_of, two_place_instance
 
 
 def test_loop_budget_validation():
@@ -159,6 +160,21 @@ def test_fast_path_vector_without_a_threshold_is_an_internal_error(tmp_path, mon
 
     monkeypatch.setattr(cegar, "constants_for_instance", no_threshold)
     with pytest.raises(RuntimeError, match="internal error: fast-path k="):
+        synthesize(inst)
+
+
+def test_candidate_failing_certify_is_an_internal_error(tmp_path, monkeypatch):
+    # Synthesis re-verifies its threshold with certify, as `petrisep check`
+    # does; a threshold that leaves m_init outside must never come back.
+    monkeypatch.setenv("PATH", str(tmp_path))  # hides any native z3
+    inst = random_instance(1, mode=Mode.COVER)
+    real = cegar.constants_for_instance
+
+    def past_m_init(inst, k):
+        return dataclasses.replace(real(inst, k), chosen=dot(k, inst.m_init) + 1)
+
+    monkeypatch.setattr(cegar, "constants_for_instance", past_m_init)
+    with pytest.raises(RuntimeError, match=r"internal error: candidate k=.* failed re-verif"):
         synthesize(inst)
 
 
@@ -288,6 +304,49 @@ def test_bfs_hard_sample_certificates_hold(tmp_path, monkeypatch):
         ("no-separator", False): 4,
         ("exhausted", False): 2,
     }
+
+
+def test_rand240_outcomes_against_backward_coverability(tmp_path, monkeypatch):
+    # rand240: seeds 0-39, 2-4 places, both modes, joined with whether the
+    # target is coverable, by the backward search over minimal bases.
+    monkeypatch.setenv("PATH", str(tmp_path))  # hides any native z3
+    table = Counter()
+    incomplete = []
+    cfg = SolverConfig()
+    with SmtSession(cfg) as session:
+        for seed, places, mode in itertools.product(range(40), (2, 3, 4), Mode):
+            inst = random_instance(seed, places=places, mode=mode)
+            result = synthesize(inst, cfg, LoopBudget(max_iterations=30), session=session)
+            cover = Instance(inst.net, inst.m_init, inst.m_final, Mode.COVER)
+            coverable = backward_coverable(cover)
+            assert coverable is not None, (seed, places)
+            table[mode.value, result.outcome.value, coverable] += 1
+            if mode is Mode.COVER:
+                # soundness: no certificate for a coverable target
+                assert not (result.outcome is Outcome.FOUND and coverable), (seed, places)
+                explored = bounded_explore(inst, max_states=4000).outcome
+                if explored is ExplorationOutcome.REACHED:
+                    assert coverable, (seed, places)
+                if explored is ExplorationOutcome.NOT_REACHED:
+                    assert not coverable, (seed, places)
+                if result.outcome is Outcome.NO_SEPARATOR and not coverable:
+                    incomplete.append((seed, places))
+    assert table == {
+        ("cover", "found", False): 72,
+        ("cover", "no-separator", True): 45,
+        ("cover", "no-separator", False): 1,
+        ("cover", "exhausted", True): 2,
+        ("reach", "found", True): 33,
+        ("reach", "found", False): 73,
+        ("reach", "no-separator", True): 12,
+        ("reach", "exhausted", True): 2,
+    }
+    # The one uncoverable no-separator is the method's incompleteness, not
+    # a wrong proof: no k <= 0 in a box gets a workable threshold.
+    assert incomplete == [(38, 3)]
+    inst = random_instance(38, places=3, mode=Mode.COVER)
+    for k in itertools.product(range(-12, 1), repeat=3):
+        assert not any(k) or constants_for_instance(inst, k).chosen is None, k
 
 
 @pytest.mark.skipif(shutil.which("z3") is None, reason="no native z3 to compare with")

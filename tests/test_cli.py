@@ -435,7 +435,11 @@ runs = [
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in runs]
 assert codes == [2, 0, 0, 0, 0], codes
-assert not hasattr(petrisep, "no_such_name")
+assert not hasattr(petrisep, "solver")  # a name outside __all__ loads nothing
+try:
+    petrisep.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'petrisep' has no attribute 'no_such_name'", exc
 """,
         [],
         id="import-and-other-commands",

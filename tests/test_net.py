@@ -42,8 +42,13 @@ def test_transition_delta_and_firing():
     assert t.is_enabled((2, 1))
     assert not t.is_enabled((1, 5))
     assert t.fire((3, 1)) == (2, 2)
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="not enabled"):
         t.fire((0, 0))
+    # zip alone would stop at the shorter vector and fire on a prefix
+    with pytest.raises(StructureError, match="length mismatch: 1 vs 2"):
+        t.fire((3,))
+    with pytest.raises(StructureError, match="length mismatch: 3 vs 2"):
+        t.is_enabled((2, 1, 0))
 
 
 def test_transition_validation():

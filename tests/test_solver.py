@@ -152,10 +152,24 @@ def test_begin_resets_a_live_external_session(tmp_path):
 
 
 def test_external_solver_exit_reports_its_last_stderr_line(tmp_path):
-    # stderr shares the reader's pipe, so the line arrives before the EOF
-    with pytest.raises(SolverProcessError, match="exiting mid-query") as exc:
-        fake_check(tmp_path / "exit.log", "--on-check", "exit")
-    assert str(exc.value).startswith("solver exited unexpectedly\n")
+    cfg = SolverConfig(command=fake_smt_command(tmp_path / "exit.log", "--on-check", "exit"))
+    with SmtSession(cfg) as s:
+        s.begin(2)
+        for f in PROPORTION:
+            s.add(f)
+        # stderr shares the reader's pipe, so the line arrives before the EOF
+        with pytest.raises(SolverProcessError, match="exiting mid-query") as exc:
+            s.check()
+        assert str(exc.value).startswith("solver exited unexpectedly\n")
+        # the child is reaped, so a second check does not write to a dead pipe
+        with pytest.raises(SolverProcessError, match="solver process is not running"):
+            s.check()
+
+
+def test_missing_solver_binary_fails_at_begin():
+    with SmtSession(SolverConfig(command=("/nonexistent/solver",))) as s:
+        with pytest.raises(SolverProcessError, match="cannot start solver"):
+            s.begin(1)
 
 
 def test_external_model_failing_reevaluation_is_refused(tmp_path):
@@ -171,6 +185,10 @@ def test_add_before_begin_raises_on_both_backends(tmp_path, monkeypatch):
         with SmtSession(cfg) as s:
             with pytest.raises(SolverError, match=r"call begin\(\) before add\(\)"):
                 s.add(eq((1,), 4))
+            with pytest.raises(SolverError, match=r"call begin\(\) before check\(\)"):
+                s.check()
+            with pytest.raises(ValueError, match="need at least one unknown"):
+                s.begin(0)
             s.begin(1)
             s.add(eq((1,), 4))
             assert s.check() == (4,)
