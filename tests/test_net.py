@@ -242,18 +242,33 @@ def reference_explore(inst, max_states):
     return reference_bfs(inst, max_states)[:3]
 
 
+def with_self_loops(rng, inst):
+    """inst with one to three transitions that change no place (pre == post)
+    put in among its own."""
+    transitions = list(inst.net.transitions)
+    for j in range(rng.randint(1, 3)):
+        flow = tuple(rng.randint(0, 3) for _ in inst.net.places)
+        transitions.insert(rng.randint(0, len(transitions)), Transition(f"loop{j}", flow, flow))
+    return Instance(PetriNet(inst.net.places, transitions), inst.m_init, inst.m_final, inst.mode)
+
+
 def test_bounded_explore_matches_tuple_reference():
+    # Up to 40 transitions: bounded_explore writes out the steps of at most
+    # 16 moves and loops over chunks of 16 beyond that, so these nets meet
+    # both shapes, with and without a remainder after the chunks.
     rng = random.Random(2024)
     outcomes = set()
     for _ in range(400):
         inst = random_instance(
             rng.randrange(10**9),
             places=rng.randint(1, 4),
-            transitions=rng.randint(0, 4),
+            transitions=rng.randint(0, 40),
             max_flow=rng.choice((1, 2, 4, 10, 1000)),
             max_marking=rng.choice((0, 4, 100, 10**6)),
             mode=rng.choice((Mode.REACH, Mode.COVER)),
         )
+        if rng.random() < 0.25:
+            inst = with_self_loops(rng, inst)
         budget = rng.choice((1, 2, 5, 50, 500))
         r = bounded_explore(inst, max_states=budget)
         got = (r.outcome, r.states_visited, r.steps_to_target)
