@@ -5,7 +5,10 @@ it: there is no x >= 0 with c <= k.x + k.pre < c - k.delta. The checker
 exploits three cheap sufficient conditions, a constructive refutation for
 sign-mixed k, and otherwise a shortest-path search over the residue
 classes modulo the smallest nonzero |k(i)|, so it settles at most that
-many classes however large c is.
+many classes however large c is. When k has at most two distinct nonzero
+magnitudes, the classes that search would settle form a single chain,
+and its first class in the window is found with Euclid steps instead, so
+the check costs O(log min |k(i)|) arithmetic steps on the numbers given.
 """
 
 from __future__ import annotations
@@ -130,7 +133,8 @@ class TransitionCheck(JsonDoc):
     flags: TrivialFlags = field(metadata=FLAT)
     witness: Optional[IntVector] = None  # x >= 0 violating inductivity
     witness_value: Optional[int] = None  # k.(x + pre) for that x
-    # check_transition: residue classes settled by the exact search;
+    # check_transition: residue classes settled by the exact search (for
+    # at most two distinct |k(i)|, counted in closed form, not visited);
     # oracle_check_transition: grid points the row walk accounts for.
     sums_explored: int = 0
 
@@ -170,40 +174,86 @@ def check_transition(k: Sequence[int], c: int, t: Transition) -> TransitionCheck
     else:
         lo, hi = max(base - c + kd + 1, 0), base - c
 
-    # Dijkstra over residues modulo the smallest coin a (Nijenhuis 1979):
-    # least[r] is the least attainable offset congruent to r, and every
-    # offset least[r] + j*a is attainable too. Offsets past hi are pruned.
-    coins = sorted({abs(x) for x in k if x != 0})
+    # Every attainable offset is d + i*a for a sum d of the larger coins
+    # and i >= 0, where a is the smallest coin; a sum d <= hi leads into
+    # the window exactly when (d - lo) mod a <= hi - lo, and s below is its
+    # least such offset at or past lo. The search settles sums d of
+    # distinct residues modulo a in increasing order (Nijenhuis 1979),
+    # so it settles at most a of them, and sums_explored counts them.
+    coins = sorted({abs(v) for v in k if v})
     a = coins[0]
-    # A residue is pushed only at a distance below its least so far, so a
-    # popped entry above least[r] is stale and each residue settles once.
-    least = {0: 0}
-    pred: dict[int, tuple[int, int]] = {}
-    settled = 0
-    heap = [(0, 0)]
-    while heap:
-        d, r = heapq.heappop(heap)
-        if d > least[r]:
-            continue
-        settled += 1
-        s = max(d, lo)
-        s += (d - s) % a  # least s >= max(d, lo) congruent to d mod a
-        if s <= hi:
-            x = [0] * len(k)
-            x[k.index(sign * a)] = (s - d) // a
-            while r:
-                r, coin = pred[r]
-                x[k.index(sign * coin)] += 1
-            value = base + sign * s
-            return TransitionCheck(t.name, False, flags, tuple(x), value, settled)
-        for coin in coins[1:]:
-            nd = d + coin
-            nr = nd % a
-            if nd <= hi and nd < least.get(nr, nd + 1):
-                least[nr] = nd
-                pred[nr] = (r, coin)
-                heapq.heappush(heap, (nd, nr))
-    return TransitionCheck(t.name, True, flags, sums_explored=settled)
+    x = [0] * len(k)
+    if len(coins) <= 2:
+        # With one larger coin b (or none: b = a) the settled sums are the
+        # chain d = j*b, j = 0, 1, ..., which ends past hi or where its
+        # residue comes round again, and its first hit takes Euclid steps.
+        # [lo, hi] holds a multiple of g = gcd(a, b): it is -k.delta >= g
+        # long, or lo = 0. Every multiple of g mod a is j*b mod a for some
+        # j < a/g, so the least hit comes before the residue repeats, and
+        # the chain ends at it or, if it lies past hi, at j = hi // b.
+        b = coins[-1]
+        j = _first_hit(b % a, a, lo % a, hi - lo)
+        if j > hi // b:
+            return TransitionCheck(t.name, True, flags, sums_explored=hi // b + 1)
+        d, settled = j * b, j + 1
+        x[k.index(sign * b)] = j
+    else:
+        # Dijkstra over the residues: least[r] is the least sum d found
+        # congruent to r, and every sum past hi is pruned. A residue is
+        # pushed only at a sum below its least so far, so a popped entry
+        # above least[r] is stale and each residue settles once.
+        heappop, heappush = heapq.heappop, heapq.heappush
+        larger, width = coins[1:], hi - lo
+        least = {0: 0}
+        pred: dict[int, tuple[int, int]] = {}
+        settled = 0
+        heap = [(0, 0)]
+        while heap:
+            d, r = heappop(heap)
+            if d > least[r]:
+                continue
+            settled += 1
+            if (d - lo) % a <= width:
+                break
+            for coin in larger:
+                nd = d + coin
+                nr = nd % a
+                if nd <= hi and nd < least.get(nr, nd + 1):
+                    least[nr] = nd
+                    pred[nr] = (r, coin)
+                    heappush(heap, (nd, nr))
+        else:
+            return TransitionCheck(t.name, True, flags, sums_explored=settled)
+        while r:
+            r, coin = pred[r]
+            x[k.index(sign * coin)] += 1
+    s = max(d, lo)
+    s += (d - s) % a  # least s >= max(d, lo) congruent to d mod a
+    x[k.index(sign * a)] = (s - d) // a
+    return TransitionCheck(t.name, False, flags, tuple(x), base + sign * s, settled)
+
+
+def _first_hit(step: int, m: int, lo: int, width: int) -> int:
+    """Least j >= 0 with (j*step - lo) mod m <= width.
+
+    Needs 0 <= step < m, 0 <= lo < m and some such j, which exists when
+    width + 1 >= gcd(step, m). If j = 0 misses, then lo > 0, lo + width
+    < m, and j must carry step*j - m*i into [lo, lo + width] for some
+    i >= 0. The least such j comes with the least i, the least i with a
+    multiple of step in [lo + m*i, lo + width + m*i], that is with
+    (i*m - (-lo - width)) mod step <= width: the same question for
+    (m mod step, step, (-lo - width) mod step), a Euclid step. The steps
+    run in a loop, not a recursion, since consecutive Fibonacci numbers
+    take as many of them as their index.
+    """
+    frames = []
+    while (-lo) % m > width:
+        frames.append((step, m, lo))
+        step, m, lo = m % step, step, (-lo - width) % step
+    j = 0
+    for step, m, lo in reversed(frames):
+        j = -(-(lo + m * j) // step)  # the least j for that least i
+    return j
 
 
 @record

@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -492,3 +493,155 @@ def test_running_example_check_cost_does_not_grow_with_c(two_place):
         r = check_transition((3, 2), c, t)
         assert not r.inductive
         assert r.sums_explored <= 2
+
+
+def reference_residue_search(k, c, t):
+    """The heap search over the residues modulo the smallest coin, which
+    decided every sign-pure k before one and two coins were decided in
+    closed form: (inductive, witness, witness_value, sums_explored) for
+    sign-pure k with k.delta < 0 and no trivial flag."""
+    base, kd = dot(k, t.pre), dot(k, t.delta)
+    sign = 1 if min(k) >= 0 else -1
+    if sign > 0:
+        lo, hi = max(c - base, 0), c - kd - 1 - base
+    else:
+        lo, hi = max(base - c + kd + 1, 0), base - c
+    coins = sorted({abs(x) for x in k if x != 0})
+    a = coins[0]
+    least = {0: 0}
+    pred = {}
+    settled = 0
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if d > least[r]:
+            continue
+        settled += 1
+        s = max(d, lo)
+        s += (d - s) % a
+        if s <= hi:
+            x = [0] * len(k)
+            x[k.index(sign * a)] = (s - d) // a
+            while r:
+                r, coin = pred[r]
+                x[k.index(sign * coin)] += 1
+            return False, tuple(x), base + sign * s, settled
+        for coin in coins[1:]:
+            nd = d + coin
+            nr = nd % a
+            if nd <= hi and nd < least.get(nr, nd + 1):
+                least[nr] = nd
+                pred[nr] = (r, coin)
+                heapq.heappush(heap, (nd, nr))
+    return True, None, None, settled
+
+
+def _few_coins_case(rng: random.Random):
+    """Random sign-pure (k, c, t): mostly two distinct magnitudes, else one
+    or three, up to 10^4, often with a common factor, a zero entry or a
+    repeated magnitude, and c within about 10^6 of 0. Half of those with
+    two magnitudes p, q get a window of width gcd(p, q) * (1 to 3)."""
+    sign = rng.choice((1, -1))
+    top = rng.choice((12, 60, 10**4))
+    g = rng.choice((1, 1, 2, 6))
+    count = rng.choices((1, 2, 3), (2, 7, 1))[0]
+    mags = [g * rng.randint(1, max(1, top // g)) for _ in range(count)]
+    mags += rng.choice(([], [], [0], [mags[0]], [0, mags[-1]]))
+    rng.shuffle(mags)
+    k = tuple(sign * m for m in mags)
+    if len(set(mags) - {0}) >= 2 and rng.random() < 0.5:
+        i, j = rng.sample([i for i, m in enumerate(mags) if m], 2)
+        p, q = mags[i], mags[j]
+        if p == q:
+            j = next(j for j, m in enumerate(mags) if m and m != p)
+            q = mags[j]
+        g = math.gcd(p, q)
+        w = rng.randint(1, 3)
+        x = (-w * pow(p // g, -1, q // g)) % (q // g)  # p*x - q*y = -g*w, x, y >= 0
+        y = (p * x + g * w) // q
+        pre, post = [0] * len(k), [0] * len(k)
+        if sign > 0:
+            pre[j], post[i] = y, x
+        else:
+            pre[i], post[j] = x, y
+        t = Transition("t", tuple(pre), tuple(post))
+        far = rng.randint(0, min(p * q, 10**6))
+    else:
+        pre, post = (tuple(rng.randint(0, 3) for _ in k) for _ in range(2))
+        kd = dot(k, post) - dot(k, pre)
+        t = Transition("t", *((post, pre) if kd > 0 else (pre, post)))
+        far = rng.choice((rng.randint(-2 * abs(kd), abs(kd)), rng.randint(0, 2 * top * top),
+                          rng.randint(0, 10**6)))
+    return k, dot(k, t.pre) + sign * far, t
+
+
+def test_one_and_two_coins_match_the_residue_search():
+    rng = random.Random(1979)
+    seen = dict.fromkeys(("one coin", "three coins", "gcd > 1 holds", "gcd > 1 fails",
+                          "window >= a", "lo = 0", "k <= 0", "holds", "fails"), 0)
+    compared = 0
+    while compared < 20_000:
+        k, c, t = _few_coins_case(rng)
+        r = check_transition(k, c, t)
+        if r.flags.any:
+            continue
+        compared += 1
+        expected = reference_residue_search(k, c, t)
+        assert (r.inductive, r.witness, r.witness_value, r.sums_explored) == expected, (k, c, t)
+        base, kd = dot(k, t.pre), dot(k, t.delta)
+        coins = sorted({abs(x) for x in k if x})
+        a, b = coins[0], coins[-1]
+        lo = max(c - base if max(k) > 0 else base - c + kd + 1, 0)
+        seen["one coin"] += len(coins) == 1
+        seen["three coins"] += len(coins) == 3
+        if math.gcd(a, b) > 1:
+            seen["gcd > 1 holds" if r.inductive else "gcd > 1 fails"] += 1
+        seen["window >= a"] += -kd >= a
+        seen["lo = 0"] += lo == 0
+        seen["k <= 0"] += max(k) <= 0
+        seen["holds" if r.inductive else "fails"] += 1
+    assert min(seen.values()) >= 200, seen
+
+
+def test_two_coin_check_cost_does_not_grow_with_the_coins():
+    # 1000034000063 is the Frobenius number of 1000003 and 1000033. A heap
+    # over the residues modulo 1000003 settles about a million of them on
+    # each, in about 2 s and with more than 200 MB at its peak.
+    frobenius = 1000003 * 1000033 - 1000003 - 1000033
+    cases = [(frobenius, (True, None, None, 1_000_002)),
+             (frobenius + 1, (False, (233340, 766668), 1233375700087, 766_669))]
+    for d, expected in cases:
+        net, hs = ussp_halfspace((1000003, 1000033), d)
+        start = time.perf_counter()
+        r = check_transition(hs.k, hs.c, net.transitions[0])
+        elapsed = time.perf_counter() - start
+        assert (r.inductive, r.witness, r.witness_value, r.sums_explored) == expected, d
+        assert elapsed < 0.05, (d, elapsed)
+
+
+def test_consecutive_fibonacci_coins_take_thousands_of_euclid_steps():
+    # k.delta = F(3000)^2 - F(3001) F(2999) = -1 (Cassini), so the window
+    # is the single product c and the check decides whether c - k.pre is a
+    # sum of the two coins; the first hit takes about 3000 Euclid steps.
+    fib = [0, 1]
+    while len(fib) <= 3001:
+        fib.append(fib[-1] + fib[-2])
+    a, b = fib[3000], fib[3001]
+    rng = random.Random(3000)
+    frobenius = a * b - a - b
+    seen = {True: 0, False: 0}
+    for sign in (1, -1):
+        k = (sign * a, sign * b)
+        t = Transition("t", (0, fib[2999]), (a, 0))
+        if sign < 0:
+            t = Transition("t", t.post, t.pre)
+        assert dot(k, t.delta) == -1
+        for s in [frobenius, frobenius + 1, a * b] + [rng.randint(0, a * b) for _ in range(12)]:
+            c = dot(k, t.pre) + sign * s
+            r = check_transition(k, c, t)
+            assert r.inductive == (not _attainable_by_two_coprime_coins(a, b, s)), s
+            if not r.inductive:
+                assert all(e >= 0 for e in r.witness)
+                assert r.witness_value == dot(k, r.witness) + dot(k, t.pre) == c
+            seen[r.inductive] += 1
+    assert min(seen.values()) >= 6, seen
