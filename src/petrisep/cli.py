@@ -256,7 +256,7 @@ def cmd_gen(args) -> int:
         built = ussp_halfspace(w, args.d)
         if built is None:
             print(
-                f"# gcd{w} does not divide {args.d}: the equation has no "
+                f"# gcd({', '.join(map(str, w))}) does not divide {args.d}: the equation has no "
                 "solution; nothing to emit"
             )
             return EXIT_NEGATIVE

@@ -16,7 +16,7 @@ that differ from this rule:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import _FIELD_INITVAR, MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from enum import Enum
 from operator import attrgetter
 from reprlib import recursive_repr
@@ -75,18 +75,39 @@ def decode(tp, doc):
     return doc
 
 
-# Every frozen dataclass of the package is declared with @record and derives
-# from Record (a report through JsonDoc), so dataclasses compiles only its
-# __init__ and frozen __setattr__/__delattr__ and the three methods below are
-# shared.
-_frozen = dataclass(frozen=True, eq=False, repr=False)
+# Every record of the package is declared with @record and derives from Record
+# (a report through JsonDoc). dataclasses only collects the fields and compiles
+# no method: Record holds the equality, hash, repr and frozen __setattr__ and
+# __delattr__ all records share, and record compiles each class's __init__.
+_bare = dataclass(init=False, eq=False, repr=False)
 
 
 def record(cls):
-    """Make cls a frozen dataclass whose `_values(x)` gives the tuple of x's
-    compare fields, read by Record's shared equality and hash, and whose
-    `_repr_names` names its repr fields, read by Record's shared repr."""
-    cls = _frozen(cls)
+    """Make cls a dataclass, frozen by Record, with the __init__ dataclasses
+    would write, whose `_values(x)` gives the tuple of x's compare fields,
+    read by Record's shared equality and hash, and whose `_repr_names` names
+    its repr fields, read by Record's shared repr."""
+    cls = _bare(cls)
+    for f in cls.__dataclass_fields__.values():
+        if f.default_factory is not MISSING or f.kw_only is True or f._field_type is _FIELD_INITVAR:
+            raise TypeError(f"{cls.__name__}.{f.name}: @record supports no default_factory, "
+                            "kw_only or InitVar field")
+    # One parameter per init field, with its default and annotation, stored
+    # by a bound object.__setattr__; init=False fields are __post_init__'s.
+    scope = {"__name__": cls.__module__, "_set": object.__setattr__}
+    params, body, annotations = [], [], {}
+    for f in fields(cls):
+        if f.init:
+            scope[f"_dflt_{f.name}"] = f.default
+            params.append(f.name if f.default is MISSING else f"{f.name}=_dflt_{f.name}")
+            body.append(f"_set(self, {f.name!r}, {f.name})")
+            annotations[f.name] = f.type
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n " + "\n ".join(body), scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__.__annotations__ = {**annotations, "return": None}
     names = [f.name for f in fields(cls) if f.compare]
     get = attrgetter(*names)
     # attrgetter of one name returns the bare value, not a 1-tuple
@@ -98,7 +119,15 @@ def record(cls):
 class Record:
     """Equality, hash and repr read from the dataclass fields, as the methods
     dataclasses generates give them: equal to a value of the same class with
-    equal field values, the hash of their tuple, and Name(field=value, ...)."""
+    equal field values, the hash of their tuple, and Name(field=value, ...);
+    setting or deleting an attribute raises FrozenInstanceError, as on a
+    frozen dataclass."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

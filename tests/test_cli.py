@@ -283,10 +283,11 @@ def test_gen_ussp_emits_checkable_net(capsys):
 
 
 def test_gen_ussp_reports_unsolvable_divisibility(capsys):
-    code = main(["gen", "ussp", "--w", "4,6", "--d", "7"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "does not divide" in out
+    for w, d, gcd in (("4,6", "7", "gcd(4, 6)"), ("3", "5", "gcd(3)")):
+        code = main(["gen", "ussp", "--w", w, "--d", d])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out == f"# {gcd} does not divide {d}: the equation has no solution; nothing to emit\n"
 
 
 def test_gen_random_matches_library(capsys):

@@ -1,11 +1,23 @@
 """Behaviour every record class shares: repr, equality, hash, immutability,
-dataclasses.replace and asdict, and the JSON round trip of the reports."""
+the constructor, copy and pickle, dataclasses.replace and asdict, and the JSON
+round trip of the reports."""
 
+import copy
 import importlib
 import inspect
 import json
+import pickle
 import pkgutil
-from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass, replace
+from dataclasses import (
+    MISSING,
+    FrozenInstanceError,
+    InitVar,
+    asdict,
+    field,
+    fields,
+    is_dataclass,
+    replace,
+)
 
 import pytest
 
@@ -13,6 +25,7 @@ import petrisep
 from petrisep import (
     HalfSpace,
     Instance,
+    IntervalSet,
     LoopBudget,
     Outcome,
     PetriNet,
@@ -28,7 +41,7 @@ from petrisep import (
     verify_separator,
 )
 from petrisep.formula import Atom, Conj, Disj
-from petrisep.jsondoc import JsonDoc, Record
+from petrisep.jsondoc import JsonDoc, Record, record
 
 
 def records() -> dict:
@@ -175,6 +188,67 @@ def test_record_is_frozen(name):
         delattr(x, f.name)
 
 
+@pytest.mark.parametrize("name", sorted(REPRS))
+def test_record_copies_and_pickles_to_a_frozen_equal(name):
+    x = records()[name]
+    f = fields(x)[0]
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and type(y) is type(x)
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field {f.name!r}"):
+            setattr(y, f.name, getattr(x, f.name))
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field {f.name!r}"):
+            delattr(y, f.name)
+
+
+@pytest.mark.parametrize("name", sorted(REPRS))
+def test_record_constructor_is_the_dataclass_one(name):
+    """The parameters are the init fields in order, with their defaults and
+    annotations, and every record can be built from them by keyword."""
+    x = records()[name]
+    init = [f for f in fields(x) if f.init]
+    empty = inspect.Parameter.empty
+    expected = inspect.Signature(
+        [inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                           default=empty if f.default is MISSING else f.default,
+                           annotation=f.type)
+         for f in init],
+        return_annotation=None,
+    )
+    assert inspect.signature(type(x)) == expected
+    assert type(x)(**{f.name: getattr(x, f.name) for f in init}) == x
+
+
+def test_constructor_leaves_delta_to_post_init():
+    assert list(inspect.signature(Transition).parameters) == ["name", "pre", "post"]
+    assert inspect.signature(IntervalSet).parameters["spans"].default == ()
+    assert IntervalSet() == IntervalSet(())
+    t = records()["Transition"]
+    assert replace(t, post=(0, 0)).delta == (-2, -1)
+
+
+def test_record_refuses_fields_its_init_cannot_build():
+    with pytest.raises(TypeError, match="default_factory"):
+        @record
+        class Factory(Record):
+            """A list field built per instance."""
+
+            xs: list = field(default_factory=list)
+
+    with pytest.raises(TypeError, match="kw_only"):
+        @record
+        class KeywordOnly(Record):
+            """A keyword-only field."""
+
+            x: int = field(kw_only=True)
+
+    with pytest.raises(TypeError, match="InitVar"):
+        @record
+        class Passed(Record):
+            """A value passed to __post_init__ only."""
+
+            x: InitVar[int]
+
+
 def plain(v):
     """Reference for asdict: records become dicts of their fields, recursively."""
     if is_dataclass(v):
@@ -220,14 +294,19 @@ def test_reports_are_the_json_documents():
 
 
 def test_every_frozen_dataclass_shares_the_record_methods():
-    """A plain @dataclass(frozen=True) would compile its own copies again."""
-    frozen = []
+    """The records are frozen by Record's shared __setattr__ and __delattr__;
+    a plain @dataclass(frozen=True) would compile its own copies again."""
+    shared = []
     for info in pkgutil.iter_modules(petrisep.__path__):
         module = importlib.import_module(f"petrisep.{info.name}")
         for cls in vars(module).values():
-            if (inspect.isclass(cls) and cls.__module__ == module.__name__
-                    and is_dataclass(cls) and cls.__dataclass_params__.frozen):
-                frozen.append(cls.__name__)
-                for name in ("__eq__", "__hash__", "__repr__"):
-                    assert getattr(cls, name) is getattr(Record, name), (cls, name)
-    assert sorted(frozen) == sorted(REPRS)
+            if inspect.isclass(cls) and cls.__module__ == module.__name__ and is_dataclass(cls):
+                assert not cls.__dataclass_params__.frozen, cls
+                if issubclass(cls, Record):
+                    shared.append(cls.__name__)
+                    # dataclasses derives a missing docstring before @record
+                    # compiles the __init__, so it would read "Name()"
+                    assert not cls.__doc__.startswith(f"{cls.__name__}("), cls
+                    for name in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+                        assert getattr(cls, name) is getattr(Record, name), (cls, name)
+    assert sorted(shared) == sorted(REPRS)
