@@ -3,11 +3,8 @@ repr for every record.
 
 A dataclass becomes a JSON object of its fields in declaration order,
 keyed by field name; a tuple becomes a list and an enum its value.
-Decoding follows the field types (typing.get_type_hints): Optional,
-tuple[X, ...], fixed-length tuples, nested dataclasses, enums, and the
-scalars int, bool and float, coerced with int(x), bool(x) and float(x);
-strings pass through. Three field metadata markers cover the documents
-that differ from this rule:
+Three field metadata markers cover the documents that differ from this
+rule:
 
   key(name)  write the field under another key
   FLAT       merge the nested object's keys into the parent object
@@ -20,7 +17,6 @@ from dataclasses import _FIELD_INITVAR, MISSING, FrozenInstanceError, dataclass,
 from enum import Enum
 from operator import attrgetter
 from reprlib import recursive_repr
-from typing import Union, get_args, get_origin, get_type_hints
 
 _MARK = "json"
 _FLAT, _INLINE = "<flat>", "<inline>"
@@ -50,29 +46,6 @@ def encode(value):
     if isinstance(value, tuple):
         return [encode(x) for x in value]
     return value
-
-
-def decode(tp, doc):
-    origin = get_origin(tp)
-    if origin is Union:
-        (inner,) = [a for a in get_args(tp) if a is not type(None)]
-        return None if doc is None else decode(inner, doc)
-    if origin is tuple:
-        args = get_args(tp)
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(decode(args[0], x) for x in doc)
-        return tuple(decode(a, x) for a, x in zip(args, doc, strict=True))
-    if is_dataclass(tp):
-        hints = get_type_hints(tp)
-        kwargs = {}
-        for f in fields(tp):
-            mark = f.metadata.get(_MARK, f.name)
-            item = doc if mark in (_FLAT, _INLINE) else doc[mark]
-            kwargs[f.name] = decode(hints[f.name], item)
-        return tp(**kwargs)
-    if isinstance(tp, type) and issubclass(tp, (int, float, Enum)):
-        return tp(doc)
-    return doc
 
 
 # Every record of the package is declared with @record and derives from Record
@@ -145,11 +118,7 @@ class Record:
 
 
 class JsonDoc(Record):
-    """Mixin giving a dataclass to_json() and from_json() by the rule above."""
+    """Mixin giving a dataclass to_json() by the rule above."""
 
     def to_json(self):
         return encode(self)
-
-    @classmethod
-    def from_json(cls, doc):
-        return decode(cls, doc)

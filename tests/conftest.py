@@ -1,6 +1,8 @@
 """Shared fixtures: the running example, a scripted solver, a capture-proof
-printer, and reference predicates the tests judge the package by."""
+printer, reference predicates the tests judge the package by, and the check
+that pins a report's JSON document."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -78,6 +80,18 @@ def backward_coverable(inst: Instance, max_steps: int = 20_000):
 def eq(coeffs, b) -> Conj:
     """coeffs . k = b, as the two atoms coeffs . k >= b and -coeffs . k >= -b."""
     return Conj((Atom(coeffs, b), Atom(tuple(-c for c in coeffs), -b)))
+
+
+def document(report):
+    """report.to_json() written as JSON text and read back, as json.load gives it."""
+    return json.loads(json.dumps(report.to_json()))
+
+
+def assert_document(doc, expected) -> None:
+    """doc is expected, with its keys in the same order and true told from 1,
+    so a renamed key or a dropped key/FLAT/INLINE marker fails."""
+    assert doc == expected
+    assert json.dumps(doc) == json.dumps(expected)
 
 
 def fake_smt_command(log, *args) -> tuple[str, ...]:

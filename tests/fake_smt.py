@@ -6,11 +6,14 @@ stack of caps asserted as (<= (+ abs_k0 ...) N); (check-sat) answers from a
 fixed model list, the first model whose |k| sum is within every cap, else
 unsat; (get-value (k0 ...)) prints that model. Everything else is ignored,
 and so is (echo "X") under --no-echo, like a solver that cannot echo.
-Under --on-check exit it writes one line to stderr, then exits. Under
+Under --on-check exit it writes one line to stderr, then exits; under
+--on-check error it answers (check-sat) with an (error "...") line. Under
 --unknown-under-cap a (check-sat) with any cap in force answers unknown.
+Under --get-value-error (get-value ...) answers an (error "...") line.
 
-    python fake_smt.py --models 6,4 3,2 --log PATH [--on-check unknown|hang|exit]
-                       [--no-echo] [--unknown-under-cap]
+    python fake_smt.py --models 6,4 3,2 --log PATH
+                       [--on-check unknown|hang|exit|error]
+                       [--no-echo] [--unknown-under-cap] [--get-value-error]
 
 Each start appends "spawn" to the log, each (check-sat) "check-sat".
 """
@@ -28,10 +31,11 @@ def main() -> None:
     parser.add_argument("--models", nargs="*", default=[])
     parser.add_argument("--log", required=True)
     parser.add_argument(
-        "--on-check", choices=["model", "unknown", "hang", "exit"], default="model"
+        "--on-check", choices=["model", "unknown", "hang", "exit", "error"], default="model"
     )
     parser.add_argument("--no-echo", action="store_true")
     parser.add_argument("--unknown-under-cap", action="store_true")
+    parser.add_argument("--get-value-error", action="store_true")
     args = parser.parse_args()
     models = [tuple(int(x) for x in m.split(",")) for m in args.models]
 
@@ -66,6 +70,9 @@ def main() -> None:
             if args.on_check == "exit":
                 sys.stderr.write("fake_smt: exiting mid-query\n")
                 return
+            if args.on_check == "error":
+                say('(error "line 1 column 10: unexpected command")')
+                continue
             if args.on_check == "hang":
                 time.sleep(60)
             limit = min((c for frame in caps for c in frame), default=None)
@@ -76,6 +83,9 @@ def main() -> None:
             chosen = fits[0] if fits else None
             say("sat" if chosen else "unsat")
         elif cmd.startswith("(get-value ("):
+            if args.get_value_error:
+                say('(error "line 2 column 20: model is not available")')
+                continue
             names = cmd[len("(get-value (") : -2].split()
             pairs = " ".join(
                 f"({n} {v})" if v >= 0 else f"({n} (- {-v}))" for n, v in zip(names, chosen)

@@ -17,7 +17,6 @@ from petrisep import (
     PetriNet,
     SmtSession,
     SolverConfig,
-    SynthesisResult,
     SynthesisStats,
     Transition,
     bounded_explore,
@@ -36,7 +35,14 @@ from petrisep import solver as solver_module
 from petrisep.net import ExplorationOutcome
 from petrisep.solver import SolverNotFoundError, SolverTimeoutError
 
-from conftest import backward_coverable, fake_smt_command, is_multiple_of, two_place_instance
+from conftest import (
+    assert_document,
+    backward_coverable,
+    document,
+    fake_smt_command,
+    is_multiple_of,
+    two_place_instance,
+)
 
 
 def test_loop_budget_validation():
@@ -52,8 +58,17 @@ def test_loop_budget_validation():
 
 
 def test_stats_json_round_trip():
-    stats = SynthesisStats(3, 17, 0.5, False, ((1, -2), (3, 4)))
-    assert SynthesisStats.from_json(stats.to_json()) == stats
+    # examined is a list of vectors, empty when no candidate was examined
+    assert_document(
+        document(SynthesisStats(3, 17, 0.5, False, ((1, -2), (3, 4)))),
+        {"iterations": 3, "solver_queries": 17, "wall_seconds": 0.5, "fast_path": False,
+         "examined": [[1, -2], [3, 4]]},
+    )
+    assert_document(
+        document(SynthesisStats(0, 1, 0.25, True, ())),
+        {"iterations": 0, "solver_queries": 1, "wall_seconds": 0.25, "fast_path": True,
+         "examined": []},
+    )
 
 
 def test_synthesize_running_example(two_place):
@@ -83,9 +98,25 @@ def test_candidates_are_examined_in_order_of_least_absolute_sum():
 
 
 def test_synthesize_result_json_round_trip(two_place):
-    result = synthesize(two_place)
-    again = SynthesisResult.from_json(result.to_json())
-    assert again == result
+    # the document `petrisep synthesize --json` writes (tests/cli_json.golden)
+    doc = document(synthesize(two_place))
+    assert isinstance(doc["stats"]["wall_seconds"], float)
+    doc["stats"]["wall_seconds"] = "<wall>"
+    assert_document(doc, {
+        "outcome": "found",
+        "halfspace": {"k": [3, 2], "c": 9},
+        "separator": {"init_inside": True, "final_outside": True, "cover_nonpositive": None},
+        "transitions": [
+            {"transition": "t", "inductive": True, "oriented": False, "monotone": False,
+             "antitone": False, "witness": None, "witness_value": None, "sums_explored": 1},
+            {"transition": "u", "inductive": True, "oriented": True, "monotone": False,
+             "antitone": False, "witness": None, "witness_value": None, "sums_explored": 0},
+            {"transition": "v", "inductive": True, "oriented": True, "monotone": False,
+             "antitone": False, "witness": None, "witness_value": None, "sums_explored": 0},
+        ],
+        "stats": {"iterations": 5, "solver_queries": 6, "wall_seconds": "<wall>",
+                  "fast_path": False, "examined": [[1, 0], [0, -1], [2, 1], [3, 1], [3, 2]]},
+    })
 
 
 def test_synthesize_cover_mode_on_coverable_target_refutes():
@@ -404,7 +435,18 @@ def test_certify_oracle_budget_shows_as_none(two_place):
 
 
 def test_certificate_report_json_round_trip(two_place):
-    report = certify(two_place, HalfSpace((3, 2), 9))
-    from petrisep import CertificateReport
-
-    assert CertificateReport.from_json(report.to_json()) == report
+    # a failed certificate, with an oracle verdict the budget left open as null
+    report = certify(two_place, HalfSpace((3, 2), 8), oracle_points=1)
+    assert_document(document(report), {
+        "separator": {"init_inside": True, "final_outside": False, "cover_nonpositive": None},
+        "transitions": [
+            {"transition": "t", "inductive": False, "oriented": False, "monotone": False,
+             "antitone": False, "witness": [0, 0], "witness_value": 8, "sums_explored": 1},
+            {"transition": "u", "inductive": True, "oriented": True, "monotone": True,
+             "antitone": False, "witness": None, "witness_value": None, "sums_explored": 0},
+            {"transition": "v", "inductive": True, "oriented": True, "monotone": True,
+             "antitone": False, "witness": None, "witness_value": None, "sums_explored": 0},
+        ],
+        "oracle": [["t", None], ["u", True], ["v", True]],
+        "ok": False,
+    })

@@ -13,10 +13,8 @@ from petrisep import (
     HalfSpace,
     Instance,
     Mode,
-    NetCheck,
     OracleBudgetError,
     StructureError,
-    TransitionCheck,
     Transition,
     certify,
     check_net,
@@ -31,7 +29,7 @@ from petrisep import (
 )
 from petrisep import inductivity
 
-from conftest import two_place_instance
+from conftest import assert_document, document, two_place_instance
 
 
 def random_transition(rng: random.Random, n: int, max_flow: int = 4) -> Transition:
@@ -394,17 +392,31 @@ def test_residue_search_skips_stale_heap_entries(monkeypatch):
 
 
 def test_transition_check_json_round_trip():
+    # the flags sit flat beside the verdict; a witness is a list, or null
     t = Transition("t", (1, 1), (2, 0))
-    for c in (5, 10, -3):
-        r = check_transition((2, 3), c, t)
-        again = TransitionCheck.from_json(r.to_json())
-        assert again == r
+    docs = {
+        5: {"transition": "t", "inductive": False, "oriented": False, "monotone": False,
+            "antitone": False, "witness": [0, 0], "witness_value": 5, "sums_explored": 1},
+        10: {"transition": "t", "inductive": False, "oriented": False, "monotone": False,
+             "antitone": False, "witness": [1, 1], "witness_value": 10, "sums_explored": 2},
+        -3: {"transition": "t", "inductive": True, "oriented": False, "monotone": True,
+             "antitone": False, "witness": None, "witness_value": None, "sums_explored": 0},
+    }
+    for c, expected in docs.items():
+        assert_document(document(check_transition((2, 3), c, t)), expected)
 
 
 def test_net_check_json_round_trip(two_place):
+    # a net check is the bare list of its transitions' documents
     chk = check_net(two_place.net, HalfSpace((3, 2), 8))
-    again = NetCheck.from_json(chk.to_json())
-    assert again == chk
+    assert_document(document(chk), [
+        {"transition": "t", "inductive": False, "oriented": False, "monotone": False,
+         "antitone": False, "witness": [0, 0], "witness_value": 8, "sums_explored": 1},
+        {"transition": "u", "inductive": True, "oriented": True, "monotone": True,
+         "antitone": False, "witness": None, "witness_value": None, "sums_explored": 0},
+        {"transition": "v", "inductive": True, "oriented": True, "monotone": True,
+         "antitone": False, "witness": None, "witness_value": None, "sums_explored": 0},
+    ])
 
 
 def test_mixed_counterexample_handles_thresholds_beyond_float_range():

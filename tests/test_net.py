@@ -13,7 +13,6 @@ from petrisep import (
     IntervalSet,
     Mode,
     PetriNet,
-    SeparatorVerdict,
     StructureError,
     Transition,
     TrivialFlags,
@@ -27,7 +26,7 @@ from petrisep import (
     verify_separator,
 )
 
-from conftest import two_place_instance
+from conftest import assert_document, document, two_place_instance
 
 
 def test_dot_and_length_mismatch():
@@ -102,7 +101,7 @@ def test_halfspace_contains_and_json():
     hs = HalfSpace((3, 2), 9)
     assert hs.contains((3, 1))
     assert not hs.contains((0, 4))
-    assert HalfSpace.from_json(hs.to_json()) == hs
+    assert_document(document(HalfSpace((-1, 0, 2), -5)), {"k": [-1, 0, 2], "c": -5})
 
 
 def test_instance_validation():
@@ -159,9 +158,16 @@ def test_verify_separator_cover_sign():
 
 
 def test_separator_verdict_json_round_trip():
-    inst = two_place_instance()
-    v = verify_separator(inst, HalfSpace((3, 2), 9))
-    assert SeparatorVerdict.from_json(v.to_json()) == v
+    # cover mode writes the sign check; reach mode writes null (test_records)
+    inst = two_place_instance(Mode.COVER)
+    assert_document(
+        document(verify_separator(inst, HalfSpace((3, -2), 2))),
+        {"init_inside": True, "final_outside": True, "cover_nonpositive": False},
+    )
+    assert_document(
+        document(verify_separator(inst, HalfSpace((-1, -2), -9))),
+        {"init_inside": True, "final_outside": False, "cover_nonpositive": True},
+    )
 
 
 def test_bounded_explore_running_example_cannot_terminate(two_place):

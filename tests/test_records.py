@@ -1,11 +1,10 @@
 """Behaviour every record class shares: repr, equality, hash, immutability,
 the constructor, copy and pickle, dataclasses.replace and asdict, and the JSON
-round trip of the reports."""
+document of each report."""
 
 import copy
 import importlib
 import inspect
-import json
 import pickle
 import pkgutil
 from dataclasses import (
@@ -42,6 +41,8 @@ from petrisep import (
 )
 from petrisep.formula import Atom, Conj, Disj
 from petrisep.jsondoc import JsonDoc, Record, record
+
+from conftest import assert_document, document
 
 
 def records() -> dict:
@@ -140,6 +141,41 @@ REPRS = {
         "chosen=9, cover_ok=True)"
     ),
     "IntervalSet": "IntervalSet(spans=((9, 9),))",
+}
+
+# The JSON document of each report of records(), as `--json` writes it
+# (tests/cli_json.golden shows the same halfspace, separator, transitions
+# and oracle on the running example).
+HALFSPACE_DOC = {"k": [3, 2], "c": 9}
+SEPARATOR_DOC = {"init_inside": True, "final_outside": True, "cover_nonpositive": None}
+NET_CHECK_DOC = [
+    {"transition": "t", "inductive": True, "oriented": False, "monotone": False,
+     "antitone": False, "witness": None, "witness_value": None, "sums_explored": 1},
+    {"transition": "u", "inductive": True, "oriented": True, "monotone": False,
+     "antitone": False, "witness": None, "witness_value": None, "sums_explored": 0},
+    {"transition": "v", "inductive": True, "oriented": True, "monotone": False,
+     "antitone": False, "witness": None, "witness_value": None, "sums_explored": 0},
+]
+STATS_DOC = {"iterations": 3, "solver_queries": 4, "wall_seconds": 0.5, "fast_path": False,
+             "examined": [[1, 0], [3, 2]]}
+DOCS = {
+    "HalfSpace": HALFSPACE_DOC,
+    "SeparatorVerdict": SEPARATOR_DOC,
+    "TransitionCheck": {
+        "transition": "t", "inductive": False, "oriented": False, "monotone": False,
+        "antitone": False, "witness": [0, 0], "witness_value": 8, "sums_explored": 1,
+    },
+    "NetCheck": NET_CHECK_DOC,
+    "SynthesisStats": STATS_DOC,
+    "SynthesisResult": {
+        "outcome": "found", "halfspace": HALFSPACE_DOC, "separator": SEPARATOR_DOC,
+        "transitions": NET_CHECK_DOC, "stats": STATS_DOC,
+    },
+    "CertificateReport": {
+        "separator": SEPARATOR_DOC, "transitions": NET_CHECK_DOC,
+        "oracle": [["t", True], ["u", True], ["v", True]], "ok": True,
+    },
+    "IntervalSet": [[9, 9]],
 }
 
 
@@ -273,24 +309,14 @@ def test_replace_changes_one_field():
     assert replace(check, sums_explored=0) != check
 
 
-@pytest.mark.parametrize("name", sorted(n for n, x in records().items() if isinstance(x, JsonDoc)))
+@pytest.mark.parametrize("name", sorted(DOCS))
 def test_report_json_round_trip(name):
-    x = records()[name]
-    doc = json.loads(json.dumps(x.to_json()))
-    assert type(x).from_json(doc) == x
+    """Through JSON text and back, each report reads as its pinned document."""
+    assert_document(document(records()[name]), DOCS[name])
 
 
 def test_reports_are_the_json_documents():
-    assert sorted(n for n, x in records().items() if isinstance(x, JsonDoc)) == [
-        "CertificateReport",
-        "HalfSpace",
-        "IntervalSet",
-        "NetCheck",
-        "SeparatorVerdict",
-        "SynthesisResult",
-        "SynthesisStats",
-        "TransitionCheck",
-    ]
+    assert sorted(n for n, x in records().items() if isinstance(x, JsonDoc)) == sorted(DOCS)
 
 
 def test_every_frozen_dataclass_shares_the_record_methods():

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -124,6 +125,21 @@ def test_external_unknown_and_timeout_raise_after_one_spawn(tmp_path):
         with pytest.raises(SolverTimeoutError):
             fake_check(log, *fake_args, timeout_ms=500)
         assert log.read_text().split().count("spawn") == 1, name
+
+
+@pytest.mark.parametrize(
+    "fake_args,message",
+    [
+        (("--on-check", "error"), "no sat/unsat answer"),
+        (("--models", "6,4", "--get-value-error"), "get-value failed"),
+    ],
+)
+def test_external_error_answer_is_a_process_error(tmp_path, fake_args, message):
+    # an (error ...) line where the pipe waits for sat/unsat, or for the model
+    log = tmp_path / "error.log"
+    with pytest.raises(SolverProcessError, match=rf"^{message}: \['\(error "):
+        fake_check(log, *fake_args)
+    assert log.read_text().split() == ["spawn", "check-sat"]
 
 
 def test_external_unknown_probe_keeps_the_incumbent(tmp_path):
@@ -323,6 +339,30 @@ def test_builtin_search_that_gives_up_is_never_unsat():
     except SolverUnknownError:
         return
     assert model is not None and all(evaluate(f, model) for f in system)
+
+
+def test_builtin_give_up_without_an_integer_point_is_unknown_not_unsat(monkeypatch):
+    # Each form's coefficients sum to 0, so it reads only u = x - y and
+    # v = y - z: -2u - 3v >= 2, 4u + v >= -2 and -3u + 4v >= -2. That triangle,
+    # with corners (-2/5, -2/5), (-2/17, -10/17) and (-6/19, -14/19), lies
+    # inside [-1, 0]^2 and holds none of its four integer points, so unsat is
+    # the truth; but the rational point (0, 1/3, 1) stays feasible along
+    # (1, 1, 1), and the branch and bound gives up before it can say so.
+    system = [Atom((-2, -1, 3), 2), Atom((4, -3, -1), -2), Atom((-3, 7, -4), -2)]
+    for t in range(-5, 6):
+        assert all(evaluate(f, (t, t + Fraction(1, 3), t + 1)) for f in system)
+    for u, v in itertools.product((-1, 0), repeat=2):
+        assert not all(evaluate(f, (u + v, v, 0)) for f in system)
+    message = "^built-in backend gave up below 200 integer branches$"
+    with pytest.raises(SolverUnknownError, match=message):
+        solve(system, 3, time.monotonic() + 60)
+    monkeypatch.setattr(solver_module.shutil, "which", lambda name: None)
+    with SmtSession(SolverConfig()) as s:
+        s.begin(3)
+        for f in system:
+            s.add(f)
+        with pytest.raises(SolverUnknownError, match=message):
+            s.check()
 
 
 def test_builtin_lattice_check_refutes_a_parity_conflict():
