@@ -91,16 +91,11 @@ def synthesize(
     # so importing the package and every other command skip it.
     from .solver import SmtSession, SolverConfig
 
-    cfg = cfg if cfg is not None else SolverConfig()
     budget = budget if budget is not None else LoopBudget()
-    own = session is None
-    if own:
-        session = SmtSession(cfg)
-    try:
+    if session is not None:
         return _run(inst, budget, session)
-    finally:
-        if own:
-            session.close()
+    with SmtSession(cfg if cfg is not None else SolverConfig()) as session:
+        return _run(inst, budget, session)
 
 
 def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisResult:

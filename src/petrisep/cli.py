@@ -148,7 +148,7 @@ def cmd_check(args) -> int:
     inst = _load(args)
     k = _read_k(args, inst)
     hs = HalfSpace(k, args.c)
-    report = certify(inst, hs, oracle_points=0 if args.skip_oracle else 200_000)
+    report = certify(inst, hs, oracle_points=0) if args.skip_oracle else certify(inst, hs)
     print(f"k = {hs.k}, c = {hs.c}, mode = {inst.mode.value}")
     _print_transition_lines(report.inductivity.per_transition)
     _print_separation(inst, hs, report.separator)
@@ -176,8 +176,8 @@ def cmd_constants(args) -> int:
     if is_mixed(k) and decreasing:
         print(
             f"k = {k} mixes positive and negative entries while "
-            f"{', '.join(decreasing)} strictly lowers the scalar product; "
-            "no threshold is inductive for such a vector"
+            f"{', '.join(decreasing)} strictly lower{'s' if len(decreasing) == 1 else ''} the "
+            "scalar product; no threshold is inductive for such a vector"
         )
         return EXIT_INCONCLUSIVE
     report = constants_for_instance(inst, k)
@@ -215,20 +215,16 @@ def cmd_oracle(args) -> int:
     all_inductive = True
     for t in inst.net.transitions:
         r = oracle_check_transition(k, args.c, t, max_points=args.budget)
+        all_inductive = all_inductive and r.inductive
         if r.inductive:
             print(f"transition {t.name}: inductive ({r.sums_explored} points)")
+        elif r.witness is None:
+            print(
+                f"transition {t.name}: NOT inductive by the sign-mixed "
+                "divisibility argument (no witness enumerated)"
+            )
         else:
-            all_inductive = False
-            if r.witness is None:
-                print(
-                    f"transition {t.name}: NOT inductive by the sign-mixed "
-                    "divisibility argument (no witness enumerated)"
-                )
-            else:
-                print(
-                    f"transition {t.name}: NOT inductive; witness x = {r.witness} "
-                    f"with k.(x + pre) = {r.witness_value}"
-                )
+            _print_transition_lines([r])
     return EXIT_OK if all_inductive else EXIT_NEGATIVE
 
 
@@ -404,7 +400,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NetFormatError, StructureError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,7 +20,7 @@ from .net import Instance, IntVector, Mode, Transition, dot
 
 
 def gcd_vector(values: Sequence[int]) -> int:
-    return math.gcd(*values) if values else 0
+    return math.gcd(*values)
 
 
 def normalize_primitive(k: Sequence[int]) -> IntVector:
@@ -35,34 +35,22 @@ def extended_euclid_vector(w: Sequence[int]) -> tuple[int, IntVector]:
     """Return (g, a) with g = gcd(w) >= 0 and w . a == g."""
     if not w:
         raise ValueError("empty vector")
-    g, a0 = w[0], [1] + [0] * (len(w) - 1)
-    if g < 0:
-        g, a0[0] = -g, -1
-    for i in range(1, len(w)):
-        if w[i] == 0:
-            continue
-        g2, x, y = _ext_gcd(g, w[i])
-        a0 = [e * x for e in a0]
-        a0[i] = y
-        g = g2
-    a = tuple(a0)
+    # w[:i] . a[:i] == g before entry i folds in: Euclid's steps on (g, w[i])
+    # end at gcd = x * g + y * w[i], so a becomes x * a + y * e_i. The 1 in
+    # a[0] is kept only while every entry so far is zero.
+    g, a = 0, [1] + [0] * (len(w) - 1)
+    for i, b in enumerate(w):
+        (r0, x0, y0), (r, x, y) = (g, 1, 0), (b, 0, 1)
+        while r:
+            q = r0 // r
+            (r0, x0, y0), (r, x, y) = (r, x, y), (r0 - q * r, x0 - q * x, y0 - q * y)
+        if r0 < 0:
+            r0, x0, y0 = -r0, -x0, -y0
+        a = [e * x0 for e in a]
+        a[i] += y0
+        g = r0
     assert dot(w, a) == g
-    return g, a
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y == g == gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
+    return g, tuple(a)
 
 
 def frobenius_limit(k: Sequence[int]) -> int:

@@ -263,6 +263,8 @@ def bounded_explore(inst: Instance, max_states: int) -> ExplorationReport:
     both miss it compile the same function, the second write replacing the
     first with an equal one.
     """
+    if not isinstance(max_states, int):
+        raise TypeError(f"exploration budget must be an integer, not {max_states!r}")
     if max_states <= 0:
         raise StructureError("exploration budget must be positive")
 

@@ -24,11 +24,11 @@ import subprocess
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 from .formula import Formula, evaluate, to_smt
+from .jsondoc import Record, record
 from .net import IntVector
 
 
@@ -56,8 +56,8 @@ class SolverUnknownError(SolverError):
     """The solver answered 'unknown'; never to be conflated with unsat."""
 
 
-@dataclass
-class SolverConfig:
+@record
+class SolverConfig(Record):
     """Which external solver to run, if any, and how long each query may take."""
 
     command: Optional[tuple[str, ...]] = None  # None: discover automatically
@@ -72,7 +72,7 @@ class SolverConfig:
             # tuple("z3 -in") would be its characters; shlex.split it instead
             raise ValueError(f"command must be a sequence of arguments, not {self.command!r}")
         if self.command is not None:
-            self.command = tuple(self.command)
+            object.__setattr__(self, "command", tuple(self.command))
 
 
 def discover_solver() -> tuple[str, ...]:

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, JSON, round trips."""
 
+import argparse
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 
 import petrisep
 from petrisep import format_instance, nontrivial_net, parse_instance, random_instance
-from petrisep.cli import main
+from petrisep.cli import build_parser, main
 
 from conftest import fake_smt_command, two_place_instance
 
@@ -155,10 +156,15 @@ def test_constants_running_example(example_file, capsys):
 
 
 def test_constants_mixed_decreasing_vector_is_inconclusive(example_file, capsys):
-    code = main(["constants", example_file, "--k", "5", "-1"])
-    out = capsys.readouterr().out
-    assert code == 2
-    assert "no threshold is inductive" in out
+    # t and u lower k.m for k = (5, -1); v alone lowers it for k = (-2, 1)
+    for k, named in ((("5", "-1"), "t, u strictly lower"), (("-2", "1"), "v strictly lowers")):
+        code = main(["constants", example_file, "--k", *k])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out == (
+            f"k = ({', '.join(k)}) mixes positive and negative entries while {named} the "
+            "scalar product; no threshold is inductive for such a vector\n"
+        )
 
 
 def test_constants_without_a_threshold_is_negative(example_file, capsys):
@@ -308,6 +314,21 @@ def test_usage_errors_keep_argparse_exit_code(example_file):
         with pytest.raises(SystemExit) as exc:
             main(["synthesize", example_file, flag])
         assert exc.value.code == 2
+
+
+def test_mode_and_json_options_per_subcommand():
+    # as README says: synthesize, check and constants take both options,
+    # explore takes --mode only, and oracle neither
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    takes = {
+        option: sorted(name for name, p in sub.choices.items() if option in p._option_string_actions)
+        for option in ("--mode", "--json")
+    }
+    assert takes == {
+        "--mode": ["check", "constants", "explore", "synthesize"],
+        "--json": ["check", "constants", "synthesize"],
+    }
+    assert sorted(sub.choices) == ["check", "constants", "explore", "gen", "oracle", "synthesize"]
 
 
 def test_synthesize_running_example_cli(example_file, capsys):

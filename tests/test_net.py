@@ -1,6 +1,7 @@
 """Core model types: transitions, nets, half spaces, exploration."""
 
 import random
+import re
 import sys
 from collections import deque
 
@@ -209,6 +210,18 @@ def test_bounded_explore_budget_gives_inconclusive():
     assert report.outcome is ExplorationOutcome.INCONCLUSIVE
     with pytest.raises(StructureError):
         bounded_explore(inst, max_states=0)
+
+
+def test_bounded_explore_refuses_a_budget_that_is_not_an_integer():
+    inst = random_instance(1)
+    for budget in (10.0, 1.5, float("nan"), "10"):
+        message = f"exploration budget must be an integer, not {budget!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            bounded_explore(inst, budget)
+    # bool is an int: True is a budget of one state
+    pump = Instance(PetriNet(("p",), (Transition("t", (0,), (1,)),)), (0,), (1000,))
+    assert bounded_explore(pump, True) == bounded_explore(pump, 1)
+    assert bounded_explore(pump, True).states_visited == 1
 
 
 def reference_bfs(inst, max_states):

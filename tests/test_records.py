@@ -28,6 +28,7 @@ from petrisep import (
     LoopBudget,
     Outcome,
     PetriNet,
+    SolverConfig,
     SynthesisResult,
     SynthesisStats,
     Transition,
@@ -73,6 +74,7 @@ def records() -> dict:
         Conj((atom, Atom((0, 1), 0))),
         Disj((atom, Conj(()))),
         LoopBudget(10, 2.5, 3),
+        SolverConfig(("z3", "-in"), 5000),
         stats,
         SynthesisResult(Outcome.FOUND, hs, sep, chk, stats),
         certify(inst, hs),
@@ -125,6 +127,7 @@ REPRS = {
     "Conj": f"Conj(parts=({ATOM}, Atom(coeffs=(0, 1), rhs=0)))",
     "Disj": f"Disj(parts=({ATOM}, Conj(parts=())))",
     "LoopBudget": "LoopBudget(max_iterations=10, max_seconds=2.5, max_bound=3)",
+    "SolverConfig": "SolverConfig(command=('z3', '-in'), timeout_ms=5000)",
     "SynthesisStats": STATS,
     "SynthesisResult": (
         f"SynthesisResult(outcome=<Outcome.FOUND: 'found'>, halfspace={HALFSPACE}, "
@@ -180,7 +183,7 @@ DOCS = {
 
 
 def test_every_record_class_has_a_value():
-    assert len(records()) == len(REPRS) == 18
+    assert len(records()) == len(REPRS) == 19
 
 
 @pytest.mark.parametrize("name", sorted(REPRS))

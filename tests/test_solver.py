@@ -182,6 +182,31 @@ def test_external_solver_exit_reports_its_last_stderr_line(tmp_path):
             s.check()
 
 
+def test_solver_killed_between_queries_fails_cleanly_until_begin(tmp_path):
+    log = tmp_path / "killed.log"
+    cfg = SolverConfig(command=fake_smt_command(log, "--models", "6,4", "3,2"))
+    with SmtSession(cfg) as s:
+        s.begin(2)
+        for f in PROPORTION:
+            s.add(f)
+        assert s.check() == (3, 2)
+        s._proc.kill()
+        s._proc.wait()
+        # the next write finds the pipe closed, and the session reaps the child
+        with pytest.raises(SolverProcessError, match="^solver pipe closed"):
+            s.add(PROPORTION[0])
+        with pytest.raises(SolverProcessError, match="solver process is not running"):
+            s.check()
+        # a new problem starts a new child
+        s.begin(2)
+        for f in PROPORTION:
+            s.add(f)
+        assert s.check() == (3, 2)
+        s.close()
+        s.close()
+    assert log.read_text().split() == (["spawn"] + ["check-sat"] * 3) * 2
+
+
 def test_missing_solver_binary_fails_at_begin():
     with SmtSession(SolverConfig(command=("/nonexistent/solver",))) as s:
         with pytest.raises(SolverProcessError, match="cannot start solver"):
