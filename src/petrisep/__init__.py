@@ -19,11 +19,9 @@ from .cegar import (
 )
 from .constants import (
     ConstantsReport,
-    choose_constant,
     constants_for_instance,
     extended_euclid_vector,
     frobenius_limit,
-    gcd_vector,
     generate_constants,
     normalize_primitive,
     separator_window,
@@ -99,14 +97,12 @@ __all__ = [
     "certify",
     "check_net",
     "check_transition",
-    "choose_constant",
     "constants_for_instance",
     "discover_solver",
     "dot",
     "extended_euclid_vector",
     "format_instance",
     "frobenius_limit",
-    "gcd_vector",
     "generate_constants",
     "is_mixed",
     "load_instance",

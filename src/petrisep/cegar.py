@@ -45,6 +45,10 @@ class LoopBudget(Record):
     max_bound: Optional[int] = None  # box |k(i)| <= max_bound on every candidate
 
     def __post_init__(self):
+        if not isinstance(self.max_iterations, int):
+            raise TypeError(f"iteration budget must be an integer, not {self.max_iterations!r}")
+        if not isinstance(self.max_bound, (int, type(None))):
+            raise TypeError(f"bound cap must be an integer, not {self.max_bound!r}")
         if self.max_iterations < 1 or not self.max_seconds > 0:  # also rejects nan
             raise ValueError("budget must be positive")
         if self.max_bound is not None and self.max_bound < 1:

@@ -19,13 +19,9 @@ from .jsondoc import Record, record
 from .net import Instance, IntVector, Mode, Transition, dot
 
 
-def gcd_vector(values: Sequence[int]) -> int:
-    return math.gcd(*values)
-
-
 def normalize_primitive(k: Sequence[int]) -> IntVector:
     """Divide k by the gcd of its entries (identity for the zero vector)."""
-    g = gcd_vector(k)
+    g = math.gcd(*k)
     if g == 0:
         return tuple(k)
     return tuple(x // g for x in k)
@@ -187,16 +183,6 @@ class ConstantsReport(Record):
     cover_ok: bool  # cover mode demands k <= 0; always True in reach mode
 
 
-def choose_constant(s: IntervalSet) -> Optional[int]:
-    """Preferred threshold from a candidate set: its largest member."""
-    if s.is_empty:
-        return None
-    hi = s.max_value()
-    if hi is None:
-        raise ValueError("candidate set is unbounded above")
-    return hi
-
-
 def constants_for_instance(inst: Instance, k: Sequence[int]) -> ConstantsReport:
     """Window, per-transition threshold sets, their intersection, and a pick.
 
@@ -217,5 +203,5 @@ def constants_for_instance(inst: Instance, k: Sequence[int]) -> ConstantsReport:
             combined = combined.intersect(s)
     per = tuple((t.name, s) for t, s in zip(inst.net.transitions, sets))
     cover_ok = inst.mode is not Mode.COVER or all(x <= 0 for x in k)
-    chosen = choose_constant(combined) if cover_ok else None
+    chosen = combined.max_value() if cover_ok else None
     return ConstantsReport(k, (lo, hi), per, combined, chosen, cover_ok)

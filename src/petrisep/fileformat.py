@@ -64,8 +64,7 @@ def parse_instance(text: str) -> Instance:
     tnames: set[str] = set()
     m_init = None
     m_final = None
-    mode = Mode.REACH
-    saw_mode = False
+    mode: Optional[Mode] = None
 
     # Only \r\n, \r and \n end a line, as open()'s universal newlines
     # read them; str.splitlines would also split on form feeds and Unicode
@@ -134,12 +133,11 @@ def parse_instance(text: str) -> Instance:
                 m_final = vals
 
         elif head == "mode":
-            if saw_mode:
+            if mode is not None:
                 raise NetFormatError("duplicate mode directive", lineno)
             if len(tokens) != 2 or tokens[1] not in ("reach", "cover"):
                 raise NetFormatError("mode must be 'reach' or 'cover'", lineno)
             mode = Mode.COVER if tokens[1] == "cover" else Mode.REACH
-            saw_mode = True
 
         else:
             raise NetFormatError(f"unknown directive {head!r}", lineno)
@@ -152,7 +150,7 @@ def parse_instance(text: str) -> Instance:
         raise NetFormatError("missing target directive")
 
     net = PetriNet(places, tuple(transitions))
-    return Instance(net, m_init, m_final, mode)
+    return Instance(net, m_init, m_final, mode or Mode.REACH)
 
 
 def format_instance(inst: Instance) -> str:

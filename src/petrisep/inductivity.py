@@ -298,7 +298,7 @@ def oracle_check_transition(
     Sign-mixed k is decided by a divisibility argument instead, since no
     grid of that size is guaranteed to hold a witness.
     """
-    if max_points <= 0:
+    if not max_points > 0:  # also rejects nan
         raise ValueError("oracle budget must be positive")
     k = tuple(k)
     base, kpost = dot(k, t.pre), dot(k, t.post)

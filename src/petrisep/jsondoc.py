@@ -4,11 +4,12 @@ repr for every record.
 A dataclass becomes a JSON object of its fields in declaration order,
 keyed by field name; a tuple becomes a list and an enum its value.
 Three field metadata markers cover the documents that differ from this
-rule:
+rule, and the __init__ that record compiles reads a fourth:
 
   key(name)  write the field under another key
   FLAT       merge the nested object's keys into the parent object
   INLINE     write a one-field object as that field's value
+  TUPLE      store a tuple as given, convert another sequence (not a str)
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ _MARK = "json"
 _FLAT, _INLINE = "<flat>", "<inline>"
 FLAT = {_MARK: _FLAT}
 INLINE = {_MARK: _INLINE}
+TUPLE = {"tuple": True}
 
 
 def key(name: str) -> dict:
@@ -48,6 +50,12 @@ def encode(value):
     return value
 
 
+def _as_tuple(items, name: str) -> tuple:
+    if isinstance(items, str):
+        raise TypeError(f"{name} must be a sequence of items, not the string {items!r}")
+    return tuple(items)
+
+
 # Every record of the package is declared with @record and derives from Record
 # (a report through JsonDoc). dataclasses only collects the fields and compiles
 # no method: Record holds the equality, hash, repr and frozen __setattr__ and
@@ -57,9 +65,9 @@ _bare = dataclass(init=False, eq=False, repr=False)
 
 def record(cls):
     """Make cls a dataclass, frozen by Record, with the __init__ dataclasses
-    would write, whose `_values(x)` gives the tuple of x's compare fields,
-    read by Record's shared equality and hash, and whose `_repr_names` names
-    its repr fields, read by Record's shared repr."""
+    would write (TUPLE fields converted), whose `_values(x)` gives the tuple
+    of x's compare fields, read by Record's shared equality and hash, and
+    whose `_repr_names` names its repr fields, read by Record's shared repr."""
     cls = _bare(cls)
     for f in cls.__dataclass_fields__.values():
         if f.default_factory is not MISSING or f.kw_only is True or f._field_type is _FIELD_INITVAR:
@@ -67,13 +75,16 @@ def record(cls):
                             "kw_only or InitVar field")
     # One parameter per init field, with its default and annotation, stored
     # by a bound object.__setattr__; init=False fields are __post_init__'s.
-    scope = {"__name__": cls.__module__, "_set": object.__setattr__}
+    scope = {"__name__": cls.__module__, "_set": object.__setattr__, "_as_tuple": _as_tuple}
     params, body, annotations = [], [], {}
     for f in fields(cls):
         if f.init:
             scope[f"_dflt_{f.name}"] = f.default
             params.append(f.name if f.default is MISSING else f"{f.name}=_dflt_{f.name}")
-            body.append(f"_set(self, {f.name!r}, {f.name})")
+            value = f.name
+            if f.metadata.get("tuple"):  # a tuple argument pays one type test
+                value = f"{value} if type({value}) is tuple else _as_tuple({value}, {value!r})"
+            body.append(f"_set(self, {f.name!r}, {value})")
             annotations[f.name] = f.type
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")

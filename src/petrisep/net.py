@@ -14,7 +14,7 @@ from enum import Enum
 from operator import add, ge, mul, sub
 from typing import Iterable, Optional, Sequence
 
-from .jsondoc import JsonDoc, Record, record
+from .jsondoc import TUPLE, JsonDoc, Record, record
 
 IntVector = tuple[int, ...]
 
@@ -42,16 +42,11 @@ class Transition(Record):
     """
 
     name: str
-    pre: IntVector
-    post: IntVector
+    pre: IntVector = field(metadata=TUPLE)
+    post: IntVector = field(metadata=TUPLE)
     delta: IntVector = field(init=False)
 
     def __post_init__(self):
-        # A tuple is stored as given; anything else is converted once.
-        if type(self.pre) is not tuple:
-            object.__setattr__(self, "pre", tuple(self.pre))
-        if type(self.post) is not tuple:
-            object.__setattr__(self, "post", tuple(self.post))
         pre, post = self.pre, self.post
         if len(pre) != len(post):
             raise StructureError(
@@ -81,14 +76,10 @@ class Transition(Record):
 class PetriNet(Record):
     """Named places and transitions whose vectors have one entry per place."""
 
-    places: tuple[str, ...]
-    transitions: tuple[Transition, ...]
+    places: tuple[str, ...] = field(metadata=TUPLE)
+    transitions: tuple[Transition, ...] = field(metadata=TUPLE)
 
     def __post_init__(self):
-        if type(self.places) is not tuple:
-            object.__setattr__(self, "places", tuple(self.places))
-        if type(self.transitions) is not tuple:
-            object.__setattr__(self, "transitions", tuple(self.transitions))
         n = len(self.places)
         if len(set(self.places)) != n:
             raise StructureError("duplicate place names")
@@ -114,12 +105,8 @@ class Mode(Enum):
 class HalfSpace(JsonDoc):
     """The set of integer vectors m with k . m >= c."""
 
-    k: IntVector
+    k: IntVector = field(metadata=TUPLE)
     c: int
-
-    def __post_init__(self):
-        if type(self.k) is not tuple:
-            object.__setattr__(self, "k", tuple(self.k))
 
     def contains(self, m: Sequence[int]) -> bool:
         return dot(self.k, m) >= self.c
@@ -130,15 +117,11 @@ class Instance(Record):
     """A safety verification instance: prove m_final not reachable/coverable."""
 
     net: PetriNet
-    m_init: IntVector
-    m_final: IntVector
+    m_init: IntVector = field(metadata=TUPLE)
+    m_final: IntVector = field(metadata=TUPLE)
     mode: Mode = Mode.REACH
 
     def __post_init__(self):
-        if type(self.m_init) is not tuple:
-            object.__setattr__(self, "m_init", tuple(self.m_init))
-        if type(self.m_final) is not tuple:
-            object.__setattr__(self, "m_final", tuple(self.m_final))
         m0, mf = self.m_init, self.m_final
         n = len(self.net.places)
         if len(m0) != n or len(mf) != n:

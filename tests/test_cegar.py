@@ -57,6 +57,18 @@ def test_loop_budget_validation():
         LoopBudget(max_bound=0)
 
 
+def test_loop_budget_refuses_a_fractional_count():
+    # 2.5 iterations used to allow 3 candidates, and a 2.5 box acted as 2
+    with pytest.raises(TypeError, match=r"iteration budget must be an integer, not 2\.5"):
+        LoopBudget(max_iterations=2.5)
+    with pytest.raises(TypeError, match=r"bound cap must be an integer, not 2\.5"):
+        LoopBudget(max_bound=2.5)
+    with pytest.raises(TypeError, match="iteration budget must be an integer, not nan"):
+        LoopBudget(max_iterations=float("nan"))
+    assert LoopBudget(max_iterations=True, max_bound=True) == LoopBudget(1, 300.0, 1)
+    assert LoopBudget(max_iterations=2, max_bound=None).max_bound is None
+
+
 def test_stats_json_round_trip():
     # examined is a list of vectors, empty when no candidate was examined
     assert_document(

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, JSON, round trips."""
 
 import argparse
+import inspect
 import json
 import os
 import re
@@ -13,7 +14,14 @@ from pathlib import Path
 import pytest
 
 import petrisep
-from petrisep import format_instance, nontrivial_net, parse_instance, random_instance
+from petrisep import (
+    LoopBudget,
+    format_instance,
+    nontrivial_net,
+    oracle_check_transition,
+    parse_instance,
+    random_instance,
+)
 from petrisep.cli import build_parser, main
 
 from conftest import fake_smt_command, two_place_instance
@@ -329,6 +337,21 @@ def test_mode_and_json_options_per_subcommand():
         "--json": ["check", "constants", "synthesize"],
     }
     assert sorted(sub.choices) == ["check", "constants", "explore", "gen", "oracle", "synthesize"]
+
+
+def test_option_defaults_are_the_library_defaults():
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    parse = build_parser().parse_args
+    args = parse(["synthesize", "x.net"])
+    assert args.max_iters == default(LoopBudget, "max_iterations")
+    assert args.max_seconds == default(LoopBudget, "max_seconds")
+    args = parse(["oracle", "x.net", "--k", "3,2", "--c", "9"])
+    assert args.budget == default(oracle_check_transition, "max_points")
+    args = parse(["gen", "random", "--seed", "1"])
+    for name in ("places", "transitions", "max_flow", "max_marking"):
+        assert getattr(args, name) == default(random_instance, name), name
 
 
 def test_synthesize_running_example_cli(example_file, capsys):

@@ -1,5 +1,6 @@
 """Exact threshold generation compared against a subset-sum reference."""
 
+import math
 import random
 import time
 import tracemalloc
@@ -15,12 +16,10 @@ from petrisep import (
     PetriNet,
     Transition,
     check_transition,
-    choose_constant,
     constants_for_instance,
     dot,
     extended_euclid_vector,
     frobenius_limit,
-    gcd_vector,
     generate_constants,
     normalize_primitive,
     random_instance,
@@ -30,13 +29,6 @@ from petrisep import (
 from petrisep.constants import _gap_runs
 
 from conftest import canonical, two_place_instance
-
-
-def test_gcd_vector():
-    assert gcd_vector((6, -4)) == 2
-    assert gcd_vector((0, 0)) == 0
-    assert gcd_vector(()) == 0
-    assert gcd_vector((7,)) == 7
 
 
 def test_normalize_primitive():
@@ -53,7 +45,7 @@ def test_extended_euclid_vector_postcondition():
         if all(x == 0 for x in w):
             continue
         g, a = extended_euclid_vector(w)
-        assert g == gcd_vector(w) > 0
+        assert g == math.gcd(*w) > 0
         assert dot(w, a) == g
     with pytest.raises(ValueError):
         extended_euclid_vector(())
@@ -359,13 +351,6 @@ def test_constants_report_rejects_bad_vectors(two_place):
 def test_separator_window(two_place):
     assert separator_window(two_place, (3, 2)) == (9, 11)
     assert separator_window(two_place, (-1, -1)) == (-3, -4)  # empty window
-
-
-def test_choose_constant():
-    assert choose_constant(IntervalSet()) is None
-    assert choose_constant(IntervalSet.between(2, 7)) == 7
-    with pytest.raises(ValueError):
-        choose_constant(IntervalSet(((3, None),)))
 
 
 def test_every_generated_constant_is_inductive_and_no_neighbor_is_missed():

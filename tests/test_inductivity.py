@@ -237,6 +237,16 @@ def test_oracle_budget_is_enforced():
         oracle_check_transition((-200, -300, -500), -100_000, t, max_points=1000)
 
 
+def test_oracle_refuses_a_nan_budget():
+    # nan passed `max_points <= 0` and then every grid size test, so the
+    # walk ran with no budget at all
+    t = Transition("t", (2, 1), (1, 2))
+    with pytest.raises(ValueError, match="oracle budget must be positive"):
+        oracle_check_transition((3, 2), 8, t, max_points=float("nan"))
+    with pytest.raises(OracleBudgetError):
+        oracle_check_transition((3, 2), 8, t, max_points=2.5)
+
+
 def _box_oracle(k, c, t, b):
     """Plain walk of the whole [0, b]^n box, first coordinate fastest.
 

@@ -84,6 +84,25 @@ def test_constructors_store_tuples_as_given_and_convert_the_rest():
         Instance(net, [1, -1], Vec((0, 1)))
 
 
+def test_constructors_refuse_a_string_for_a_tuple_field():
+    t = Transition("t", (1, 0), (0, 1))
+    net = PetriNet(("p", "q"), (t,))
+    cases = [
+        (lambda: HalfSpace("32", 9), "k must be a sequence of items, not the string '32'"),
+        (lambda: PetriNet("pq", ()), "places must be a sequence of items, not the string 'pq'"),
+        (lambda: Transition("t", "10", (0, 1)), "pre must be a sequence of items, not the string '10'"),
+        (lambda: Transition("t", (1, 0), "01"), "post must be a sequence of items"),
+        (lambda: PetriNet(("p",), "t"), "transitions must be a sequence of items"),
+        (lambda: Instance(net, "10", (0, 1)), "m_init must be a sequence of items"),
+        (lambda: Instance(net, (1, 0), "01"), "m_final must be a sequence of items"),
+    ]
+    for build, message in cases:
+        with pytest.raises(TypeError, match=re.escape(message)):
+            build()
+    with pytest.raises(TypeError, match="not the string ''"):
+        HalfSpace("", 0)
+
+
 def test_net_rejects_duplicates():
     t = Transition("t", (1,), (0,))
     with pytest.raises(StructureError):
