@@ -8,9 +8,10 @@ of least sum |k(i)|, with None only when every branch of the search has
 been refuted exactly, and raises SolverUnknownError when the search had to
 give up somewhere.
 
-- Every atom a.x >= b becomes one literal, its integer coefficients
-  divided by their gcd and b rounded up to match.
-- Literals go into a bounded simplex in the style of Dutertre & de Moura
+- The search reads formula.py's Atom, Conj and Disj, each atom a.x >= b
+  made primitive (a divided by its gcd, b rounded up to match), and tests
+  them at a rational point with formula.evaluate.
+- Atoms go into a bounded simplex in the style of Dutertre & de Moura
   ("A Fast Linear-Arithmetic Solver for DPLL(T)", CAV 2006), kept
   fraction-free: each row is an integer vector over the nonbasic unknowns
   with a positive denominator, and nonbasic unknowns sit at integer values,
@@ -39,7 +40,7 @@ import time
 from operator import mul
 from typing import Optional, Sequence
 
-from .formula import Atom, Conj, Disj, Formula
+from .formula import Atom, Conj, Disj, Formula, evaluate
 from .net import IntVector
 from .solver import SolverTimeoutError, SolverUnknownError
 
@@ -49,95 +50,45 @@ from .solver import SolverTimeoutError, SolverUnknownError
 MAX_BRANCH_DEPTH = 200
 
 
-class _Lit:
-    """terms . x >= lo with primitive integer terms ((unknown, coeff), ...)."""
-
-    __slots__ = ("terms", "lo", "key", "lower", "bound", "dense")
-
-    def __init__(self, terms: tuple, lo: int):
-        self.terms = terms
-        self.lo = lo
-        self.dense = [0] * (terms[-1][0] + 1)
-        for v, c in terms:
-            self.dense[v] = c
-        # The simplex holds one unknown per linear form, signed so that its
-        # first coefficient is positive; this literal bounds it from one side.
-        self.lower = terms[0][1] > 0
-        self.key = terms if self.lower else tuple((v, -c) for v, c in terms)
-        self.bound = lo if self.lower else -lo
-
-    def holds(self, nums: list, den: int) -> bool:
-        return sum(map(mul, self.dense, nums)) >= self.lo * den
+TRUE = Conj(())
+FALSE = Disj(())
 
 
-class _And:
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple):
-        self.parts = parts
-
-    def holds(self, nums: list, den: int) -> bool:
-        for p in self.parts:
-            if not p.holds(nums, den):
-                return False
-        return True
-
-
-class _Or(_And):
-    __slots__ = ()
-
-    def holds(self, nums: list, den: int) -> bool:
-        for p in self.parts:
-            if p.holds(nums, den):
-                return True
-        return False
-
-
-TRUE = _And(())
-FALSE = _Or(())
-
-
-def _convert(f: Formula):
-    """A formula as literals under _And and _Or."""
+def _convert(f: Formula) -> Formula:
+    """f with nested connectives of one kind spliced and each atom primitive
+    (rhs rounded up), or TRUE or FALSE when its coefficients are all zero."""
     if isinstance(f, Atom):
-        return _lit(tuple((i, c) for i, c in enumerate(f.coeffs) if c), f.rhs)
+        g = math.gcd(*f.coeffs)
+        if g == 0:
+            return TRUE if f.rhs <= 0 else FALSE
+        return f if g == 1 else Atom(tuple(c // g for c in f.coeffs), -(-f.rhs // g))
     if isinstance(f, Conj):
-        return _join(_And, [_convert(p) for p in f.parts])
+        return _join(Conj, [_convert(p) for p in f.parts])
     if isinstance(f, Disj):
-        return _join(_Or, [_convert(p) for p in f.parts])
+        return _join(Disj, [_convert(p) for p in f.parts])
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _lit(terms: tuple, lo: int):
-    if not terms:
-        return TRUE if lo <= 0 else FALSE
-    g = math.gcd(*(c for _, c in terms))
-    if g > 1:
-        terms = tuple((v, c // g) for v, c in terms)
-        lo = -(-lo // g)
-    return _Lit(terms, lo)
+def _negate(f: Formula) -> Formula:
+    """The negation of a formula that _convert returned, in the same form."""
+    if type(f) is Atom:
+        return Atom(tuple(-c for c in f.coeffs), 1 - f.rhs)
+    return _join(Conj if type(f) is Disj else Disj, [_negate(p) for p in f.parts])
 
 
-def _negate(node):
-    if type(node) is _Lit:
-        return _lit(tuple((v, -c) for v, c in node.terms), 1 - node.lo)
-    dual = _And if type(node) is _Or else _Or
-    return _join(dual, [_negate(p) for p in node.parts])
-
-
-def _join(cls, parts):
-    """parts under the connective cls (_And or _Or), flattened: a nested
-    cls node is spliced in, FALSE under _And (TRUE under _Or) is the whole
+def _join(kind, parts):
+    """parts under the connective kind (Conj or Disj), flattened: a nested
+    kind node is spliced in, FALSE under Conj (TRUE under Disj) is the whole
     answer, and no parts at all give TRUE (FALSE)."""
-    unit, zero = (TRUE, FALSE) if cls is _And else (FALSE, TRUE)
+    unit, zero = (TRUE, FALSE) if kind is Conj else (FALSE, TRUE)
     flat = []
     for p in parts:
         if p is zero:
             return zero
-        flat.extend(p.parts if type(p) is cls else (p,))
+        flat.extend(p.parts if type(p) is kind else (p,))
     if len(flat) < 2:
         return flat[0] if flat else unit
-    return cls(tuple(flat))
+    return kind(tuple(flat))
 
 
 def _reduce(den: int, coeffs: list) -> tuple[int, list]:
@@ -170,6 +121,7 @@ class _Simplex:
         self.coeffs: list = [None] * n
         self.terms: list = [None] * n  # a slack's defining form
         self.slacks: dict = {}
+        self.sides: dict = {}  # an atom's coefficients: (unknown, sign of its form)
         self.trail: list = []
 
     def unknown(self, terms: tuple) -> int:
@@ -204,11 +156,16 @@ class _Simplex:
             den = lcm
         self.den[v], self.coeffs[v] = _reduce(den, acc)
 
-    def assert_lit(self, lit: _Lit) -> bool:
-        v = self.unknown(lit.key)
-        if lit.lower:
-            return self.assert_lower(v, lit.bound)
-        return self.assert_upper(v, lit.bound)
+    def assert_atom(self, atom: Atom) -> bool:
+        """Bound the unknown of atom's form, its first term made positive."""
+        side = self.sides.get(atom.coeffs)
+        if side is None:
+            terms = tuple((v, c) for v, c in enumerate(atom.coeffs) if c)
+            sign = 1 if terms[0][1] > 0 else -1
+            form = tuple((v, sign * c) for v, c in terms)
+            side = self.sides[atom.coeffs] = (self.unknown(form), sign)
+        v, sign = side
+        return self.assert_lower(v, atom.rhs) if sign > 0 else self.assert_upper(v, -atom.rhs)
 
     def assert_lower(self, v: int, b: int) -> bool:
         lo, hi = self.lo[v], self.hi[v]
@@ -380,7 +337,7 @@ class _Search:
     def __init__(self, formulas, nk: int, deadline: float):
         self.nk = nk
         self.deadline = deadline
-        self.root = _join(_And, [_convert(f) for f in formulas])
+        self.root = _join(Conj, [_convert(f) for f in formulas])
         self.best: Optional[IntVector] = None
         self.best_sum: Optional[int] = None
         self.gave_up = False
@@ -399,9 +356,9 @@ class _Search:
             raise SolverTimeoutError("built-in backend ran out of time")
 
     def _assert(self, node, pending: list) -> bool:
-        if type(node) is _Lit:
-            return self.lp.assert_lit(node)
-        if type(node) is _Or:
+        if type(node) is Atom:
+            return self.lp.assert_atom(node)
+        if type(node) is Disj:
             if not node.parts:
                 return False
             pending.append(node)
@@ -435,7 +392,7 @@ class _Search:
             nums, den = lp.point(self.nk)
             violated = None
             for p in pending:
-                if not p.holds(nums, den) and (
+                if not evaluate(p, nums, den) and (
                     violated is None or len(p.parts) < len(violated.parts)
                 ):
                     violated = p
@@ -457,7 +414,7 @@ class _Search:
             # The point scaled to integers (itself when den is 1) may be a model.
             g = math.gcd(den, *nums)
             k = [x // g for x in nums]
-            if (self.best is None or sum(map(abs, k)) < self.best_sum) and self.root.holds(k, 1):
+            if (self.best is None or sum(map(abs, k)) < self.best_sum) and evaluate(self.root, k):
                 self._offer(k)
                 continue
             if not self._equalities_integral():

@@ -9,21 +9,23 @@ separation atom and one of three cases: k <= 0, k >= 0, or every
 transition oriented (see separator_formula), with no condition that the
 others already imply and no equality. Every atom has one relation,
 coeffs . k >= rhs, with concrete integer coefficients, so formulas can be
-both evaluated locally (exact arithmetic) and emitted as SMT-LIB2. A
-strict or reversed comparison is written tightened to the integers:
-x > 0 as x >= 1, x <= 0 as -x >= 0, x < 0 as -x >= 1. There is no
-negation: every formula is atoms under conjunction and disjunction
+evaluated locally (exact arithmetic, at integer or rational points),
+searched as they are by the built-in backend (exact.py) and emitted as
+SMT-LIB2. A strict or reversed comparison is written tightened to the
+integers: x > 0 as x >= 1, x <= 0 as -x >= 0, x < 0 as -x >= 1. There is
+no negation: every formula is atoms under conjunction and disjunction
 (negation normal form).
 """
 
 from __future__ import annotations
 
+from dataclasses import field
 from functools import cache
 from math import gcd
 from operator import mul, sub
 from typing import Sequence, Union
 
-from .jsondoc import Record, record
+from .jsondoc import TUPLE, Record, record
 from .net import Instance, IntVector, Mode
 
 Formula = Union["Atom", "Conj", "Disj"]
@@ -33,7 +35,7 @@ Formula = Union["Atom", "Conj", "Disj"]
 class Atom(Record):
     """coeffs . k >= rhs with concrete integer coefficients."""
 
-    coeffs: IntVector
+    coeffs: IntVector = field(metadata=TUPLE)
     rhs: int
 
 
@@ -51,19 +53,19 @@ class Disj(Record):
     parts: tuple[Formula, ...]
 
 
-def evaluate(f: Formula, k: Sequence[int]) -> bool:
-    """Evaluate under the assignment k with exact integer arithmetic."""
+def evaluate(f: Formula, k: Sequence[int], den: int = 1) -> bool:
+    """Evaluate at the point k / den (den > 0) with exact integer arithmetic."""
     kind = type(f)
     if kind is Atom:
-        return sum(map(mul, f.coeffs, k)) >= f.rhs
+        return sum(map(mul, f.coeffs, k)) >= f.rhs * den
     if kind is Conj:
         for p in f.parts:
-            if not evaluate(p, k):
+            if not evaluate(p, k, den):
                 return False
         return True
     if kind is Disj:
         for p in f.parts:
-            if evaluate(p, k):
+            if evaluate(p, k, den):
                 return True
         return False
     raise TypeError(f"not a formula: {f!r}")

@@ -9,11 +9,13 @@ rule, and the __init__ that record compiles reads a fourth:
   key(name)  write the field under another key
   FLAT       merge the nested object's keys into the parent object
   INLINE     write a one-field object as that field's value
-  TUPLE      store a tuple as given, convert another sequence (not a str)
+  TUPLE      store a tuple as given, convert another sequence or iterator
+             (not a str, bytes, bytearray, set or mapping)
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import _FIELD_INITVAR, MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from enum import Enum
 from operator import attrgetter
@@ -51,8 +53,11 @@ def encode(value):
 
 
 def _as_tuple(items, name: str) -> tuple:
-    if isinstance(items, str):
-        raise TypeError(f"{name} must be a sequence of items, not the string {items!r}")
+    # a string or bytes would give its characters or byte values, a mapping
+    # its keys and a set its hash order
+    if isinstance(items, (str, bytes, bytearray, Set, Mapping)):
+        what = "string" if isinstance(items, str) else type(items).__name__
+        raise TypeError(f"{name} must be a sequence of items, not the {what} {items!r}")
     return tuple(items)
 
 

@@ -278,9 +278,9 @@ def test_builtin_backend_deadline_raises_timeout(tmp_path, monkeypatch):
 
 
 def test_builtin_search_effort_on_nontrivial_net_6(tmp_path, monkeypatch):
-    # About 1,600 search nodes here. Options that the orthant's sign atoms
-    # already imply, or k(i) = 0 written as an equality, make it about
-    # twelve times as many.
+    # Exactly 1,493 search nodes here, so a change to the search order
+    # shows. Options that the orthant's sign atoms already imply, or
+    # k(i) = 0 written as an equality, make it about twelve times as many.
     monkeypatch.setenv("PATH", str(tmp_path))  # hides any native z3
     node, nodes = exact._Search._node, [0]
 
@@ -291,7 +291,9 @@ def test_builtin_search_effort_on_nontrivial_net_6(tmp_path, monkeypatch):
     monkeypatch.setattr(exact._Search, "_node", counted)
     result = synthesize(nontrivial_net(6))
     assert result.outcome is Outcome.FOUND
-    assert nodes[0] <= 4_000
+    assert result.halfspace == HalfSpace((-3, -3, -3, -3, -3, -2), -18)
+    assert (result.stats.iterations, result.stats.solver_queries) == (9, 10)
+    assert nodes[0] == 1_493
 
 
 def test_no_separator_is_never_answered_when_a_box_certificate_exists():

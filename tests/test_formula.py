@@ -34,6 +34,10 @@ def test_atom_evaluation():
     assert not evaluate(Atom((0, -1), 1), (5, 0))
     assert evaluate(Atom((0, 0), 0), (5, 9))
     assert not evaluate(Atom((0, 0), 1), (5, 9))
+    # at the rational point k = (3, 1) / 2: 2 * 3/2 - 1/2 = 5/2
+    assert evaluate(Atom((2, -1), 3), (3, 1))
+    assert not evaluate(Atom((2, -1), 3), (3, 1), 2)
+    assert evaluate(Atom((2, -1), 2), (3, 1), 2)
 
 
 def test_connectives():

@@ -95,6 +95,13 @@ def test_constructors_refuse_a_string_for_a_tuple_field():
         (lambda: PetriNet(("p",), "t"), "transitions must be a sequence of items"),
         (lambda: Instance(net, "10", (0, 1)), "m_init must be a sequence of items"),
         (lambda: Instance(net, (1, 0), "01"), "m_final must be a sequence of items"),
+        # bytes would give byte values, a mapping its keys, a set hash order
+        (lambda: HalfSpace(b"32", 9), "k must be a sequence of items, not the bytes b'32'"),
+        (lambda: HalfSpace(bytearray(b"32"), 9), "k must be a sequence of items, not the bytearray"),
+        (lambda: PetriNet({"q", "p"}, ()), "places must be a sequence of items, not the set"),
+        (lambda: PetriNet(frozenset("p"), ()), "places must be a sequence of items, not the frozenset"),
+        (lambda: Transition("t", {0: 1, 1: 0}, (0, 1)), "pre must be a sequence of items, not the dict"),
+        (lambda: Instance(net, {1: 0, 0: 1}.keys(), (0, 1)), "m_init must be a sequence of items"),
     ]
     for build, message in cases:
         with pytest.raises(TypeError, match=re.escape(message)):

@@ -406,6 +406,29 @@ def random_formula(rng, n, depth):
     return kind(tuple(random_formula(rng, n, depth - 1) for _ in range(rng.randint(0, 3))))
 
 
+def kinds(f):
+    yield type(f)
+    if type(f) is not Atom:
+        for p in f.parts:
+            yield from kinds(p)
+
+
+def holds_at(f, x):
+    """f at a point of Fractions, written apart from evaluate."""
+    if type(f) is Atom:
+        return sum(c * v for c, v in zip(f.coeffs, x)) >= f.rhs
+    if type(f) is Conj:
+        return all(holds_at(p, x) for p in f.parts)
+    return any(holds_at(p, x) for p in f.parts)
+
+
+def test_builtin_backend_reads_an_atom_built_from_a_list():
+    # the backend keys an atom's form by its coefficients, so they are a tuple
+    atom = Atom([1, 1], 2)
+    assert type(atom.coeffs) is tuple and atom == Atom((1, 1), 2)
+    assert solve([atom], 2, time.monotonic() + 60) == (2, 0)
+
+
 def test_builtin_normal_form_and_its_negation_match_evaluate():
     # constant atoms, empty connectives and gcd tightening all occur here
     rng = random.Random(2024)
@@ -414,10 +437,23 @@ def test_builtin_normal_form_and_its_negation_match_evaluate():
         f = random_formula(rng, n, 3)
         node = _convert(f)
         neg = _negate(node)
+        assert set(kinds(node)) | set(kinds(neg)) <= {Atom, Conj, Disj}, f
         for p in itertools.product(range(-3, 4), repeat=n):
             p = list(p)
-            assert node.holds(p, 1) == evaluate(f, p), (f, p)
-            assert neg.holds(p, 1) == (not evaluate(f, p)), (f, p)
+            assert evaluate(node, p) == evaluate(f, p), (f, p)
+            assert evaluate(neg, p) == (not evaluate(f, p)), (f, p)
+        # At the rational points nums / den the search meets, both evaluate
+        # exactly; gcd tightening only strengthens an atom there (2 x >= 1
+        # becomes x >= 1), so each implies its side of f.
+        for den in range(2, 6):
+            for _ in range(5):
+                nums = [rng.randint(-3 * den, 3 * den) for _ in range(n)]
+                x = [Fraction(v, den) for v in nums]
+                truth = holds_at(f, x)
+                assert evaluate(f, nums, den) == truth, (f, nums, den)
+                for g, side in ((node, truth), (neg, not truth)):
+                    got = evaluate(g, nums, den)
+                    assert got == holds_at(g, x) and (side or not got), (f, g, nums, den)
 
 
 def test_builtin_least_model_matches_brute_force():
