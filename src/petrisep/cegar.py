@@ -138,7 +138,8 @@ def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisRe
     # formula, so the base would only add work to this query. Its models
     # always have a workable threshold: c = k.m_init for k <= 0,
     # c = k.m_final + 1 for k >= 0, any c when every transition is oriented.
-    model = session.check([trivial_separator_formula(inst)])
+    box = [bound_constraint(n, budget.max_bound)] if budget.max_bound else []
+    model = session.check([trivial_separator_formula(inst), *box])
     if model is not None:
         got = attempt(model)
         if got is None:
@@ -149,7 +150,6 @@ def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisRe
     # model of least sum |k(i)|; an unsat without the box is a proof that
     # no separating inductive half space exists.
     session.add(separator_formula(inst))
-    box = [bound_constraint(n, budget.max_bound)] if budget.max_bound else []
     while (
         len(examined) < budget.max_iterations
         and time.monotonic() - t0 < budget.max_seconds

@@ -197,15 +197,7 @@ def cmd_constants(args) -> int:
         print("no threshold works for every transition")
     else:
         print(f"chosen c = {report.chosen}")
-    doc = {
-        "k": list(report.k),
-        "window": [lo, hi],
-        "per_transition": {name: s.to_json() for name, s in report.per_transition},
-        "combined": report.combined.to_json(),
-        "chosen": report.chosen,
-        "cover_ok": report.cover_ok,
-    }
-    _write_json(args.json, doc)
+    _write_json(args.json, report.to_json())
     return EXIT_NEGATIVE if report.chosen is None else EXIT_OK
 
 
@@ -400,3 +392,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NetFormatError, StructureError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("environment error: out of memory", file=sys.stderr)
+        return EXIT_SOLVER

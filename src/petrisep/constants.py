@@ -15,7 +15,7 @@ import math
 from typing import Optional, Sequence
 
 from .intervals import IntervalSet, Span
-from .jsondoc import Record, record
+from .jsondoc import JsonDoc, record
 from .net import Instance, IntVector, Mode, Transition, dot
 
 
@@ -99,14 +99,12 @@ def _gap_runs(coins: Sequence[int], width: int, first: int, last: int) -> list[S
 def _threshold_sets(
     k: IntVector, transitions: Sequence[Transition], window: IntervalSet
 ) -> list[IntervalSet]:
-    """Each transition's inductive thresholds inside window (all() or one
+    """Each transition's inductive thresholds inside window (empty or one
     span), built canonical and clipped: the window when t is oriented,
     empty for a sign-mixed k, else the clipped ray and gap runs."""
     if not window.spans:
         return [window] * len(transitions)
-    ((wlo, whi),) = window.spans
-    lo = -math.inf if wlo is None else wlo
-    hi = math.inf if whi is None else whi
+    ((lo, hi),) = window.spans
     kmin, kmax = (min(k), max(k)) if k else (0, 0)
     coins = sorted({abs(x) for x in k if x != 0})
 
@@ -122,11 +120,11 @@ def _threshold_sets(
         limit = coins[0] * coins[-1]  # frobenius_limit(k)
         if kmin >= 0:
             top = min(post_val, hi)
-            ray = [(wlo, top)] if lo <= top else []
+            ray = [(lo, top)] if lo <= top else []
             first, last = max(post_val + 1, lo), min(base + limit - 1, hi)
         else:
             bottom = max(base + 1, lo)
-            ray = [(bottom, whi)] if bottom <= hi else []
+            ray = [(bottom, hi)] if bottom <= hi else []
             first, last = max(base - limit, lo), min(base, hi)
         if width >= coins[0] or first > last:
             # No candidate lies in the window, or every window this wide
@@ -151,19 +149,12 @@ def _threshold_sets(
     return [one(t) for t in transitions]
 
 
-def generate_constants(
-    k: Sequence[int],
-    t: Transition,
-    window: Optional[tuple[int, int]] = None,
-) -> IntervalSet:
-    """All thresholds c for which (k, c) is t-inductive, as an interval set.
-
-    With a window (lo, hi) the result is clipped to [lo, hi]; the window
-    also tightens the enumeration so wide windows stay cheap. Without one
-    the complete (generally unbounded) set is returned.
+def generate_constants(k: Sequence[int], t: Transition, window: tuple[int, int]) -> IntervalSet:
+    """The thresholds c in the window [lo, hi] for which (k, c) is
+    t-inductive, as an interval set. The gap search stops at the window's
+    far end, so a window ending near k . pre stays cheap.
     """
-    clip = IntervalSet.all() if window is None else IntervalSet.between(*window)
-    return _threshold_sets(tuple(k), (t,), clip)[0]
+    return _threshold_sets(tuple(k), (t,), IntervalSet.between(*window))[0]
 
 
 def separator_window(inst: Instance, k: Sequence[int]) -> tuple[int, int]:
@@ -172,7 +163,7 @@ def separator_window(inst: Instance, k: Sequence[int]) -> tuple[int, int]:
 
 
 @record
-class ConstantsReport(Record):
+class ConstantsReport(JsonDoc):
     """Inductive thresholds for one k: per transition, combined, and the pick."""
 
     k: IntVector
@@ -181,6 +172,12 @@ class ConstantsReport(Record):
     combined: IntervalSet
     chosen: Optional[int]
     cover_ok: bool  # cover mode demands k <= 0; always True in reach mode
+
+    def to_json(self) -> dict:
+        # PetriNet refuses duplicate names, so the pairs key one object
+        doc = super().to_json()
+        doc["per_transition"] = dict(doc["per_transition"])
+        return doc
 
 
 def constants_for_instance(inst: Instance, k: Sequence[int]) -> ConstantsReport:

@@ -1,10 +1,9 @@
-"""Sets of integers stored as sorted disjoint closed intervals.
+"""Finite sets of integers stored as sorted disjoint closed intervals.
 
-Endpoints are ints or None, where None on the left means unbounded below
-and None on the right unbounded above. The spans are canonical: sorted,
-disjoint and non-adjacent, so every value has one representation and
-equality is structural. The constructor stores its spans as given, so a
-caller hands it canonical spans as a tuple; every constructor here does.
+The spans are canonical: sorted, disjoint and non-adjacent, so every
+value has one representation and equality is structural. The constructor
+stores its spans as given, so a caller hands it canonical spans as a
+tuple; every constructor here does.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Optional
 
 from .jsondoc import INLINE, JsonDoc, record
 
-Span = tuple[Optional[int], Optional[int]]
+Span = tuple[int, int]
 
 
 @record
@@ -22,10 +21,6 @@ class IntervalSet(JsonDoc):
     """A set of integers as canonical spans (see the module docstring)."""
 
     spans: tuple[Span, ...] = field(default=(), metadata=INLINE)
-
-    @classmethod
-    def all(cls) -> "IntervalSet":
-        return cls(((None, None),))
 
     @classmethod
     def between(cls, lo: int, hi: int) -> "IntervalSet":
@@ -36,10 +31,10 @@ class IntervalSet(JsonDoc):
         return not self.spans
 
     def __contains__(self, v: int) -> bool:
-        return any((lo is None or lo <= v) and (hi is None or v <= hi) for lo, hi in self.spans)
+        return any(lo <= v <= hi for lo, hi in self.spans)
 
     def max_value(self) -> Optional[int]:
-        """Largest member; None when empty or unbounded above."""
+        """Largest member; None when empty."""
         if not self.spans:
             return None
         return self.spans[-1][1]
@@ -54,11 +49,10 @@ class IntervalSet(JsonDoc):
         while i < len(a) and j < len(b):
             alo, ahi = a[i]
             blo, bhi = b[j]
-            lo = blo if alo is None else alo if blo is None else max(alo, blo)
-            hi = bhi if ahi is None else ahi if bhi is None else min(ahi, bhi)
-            if lo is None or hi is None or lo <= hi:
+            lo, hi = max(alo, blo), min(ahi, bhi)
+            if lo <= hi:
                 out.append((lo, hi))
-            if ahi is None or (bhi is not None and bhi < ahi):
+            if bhi < ahi:
                 j += 1  # b's span ends first
             else:
                 i += 1
@@ -67,12 +61,4 @@ class IntervalSet(JsonDoc):
     def to_text(self) -> str:
         if not self.spans:
             return "{}"
-        parts = []
-        for lo, hi in self.spans:
-            if lo is not None and lo == hi:
-                parts.append(f"{{{lo}}}")
-                continue
-            left = "(-inf" if lo is None else f"[{lo}"
-            right = "+inf)" if hi is None else f"{hi}]"
-            parts.append(f"{left},{right}")
-        return " ".join(parts)
+        return " ".join(f"{{{lo}}}" if lo == hi else f"[{lo},{hi}]" for lo, hi in self.spans)

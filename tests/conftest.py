@@ -24,12 +24,12 @@ def canonical(spans) -> IntervalSet:
     """Reference normalizer: sort spans, drop empty ones, fuse overlapping
     and adjacent ones, so equal sets of integers get equal spans."""
     merged = []
-    for lo, hi in sorted(spans, key=lambda s: (s[0] is not None, s[0] or 0)):
-        if lo is not None and hi is not None and lo > hi:
+    for lo, hi in sorted(spans):
+        if lo > hi:
             continue
-        if merged and (merged[-1][1] is None or lo is None or lo <= merged[-1][1] + 1):
+        if merged and lo <= merged[-1][1] + 1:
             plo, phi = merged[-1]
-            merged[-1] = (plo, None if phi is None or hi is None else max(phi, hi))
+            merged[-1] = (plo, max(phi, hi))
         else:
             merged.append((lo, hi))
     return IntervalSet(tuple(merged))

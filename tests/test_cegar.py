@@ -270,6 +270,44 @@ def test_bound_cap_ends_the_search_as_exhausted():
     assert certify(inst, found.halfspace).ok
 
 
+@pytest.mark.parametrize(
+    "seed, places, mode, bound",
+    [(0, 2, Mode.REACH, 2), (11, 3, Mode.REACH, 3), (17, 2, Mode.REACH, 1),
+     (19, 3, Mode.COVER, 1), (25, 3, Mode.REACH, 4)],
+)
+def test_bound_cap_boxes_the_fast_path_probe(seed, places, mode, bound, tmp_path, monkeypatch):
+    # Each instance's fast-path certificate lies outside the box, and no
+    # certificate lies inside it.
+    monkeypatch.setenv("PATH", str(tmp_path))  # hides any native z3
+    inst = random_instance(seed, places=places, mode=mode)
+    free = synthesize(inst)
+    assert free.outcome is Outcome.FOUND and free.stats.fast_path
+    assert max(map(abs, free.halfspace.k)) > bound
+    capped = synthesize(inst, budget=LoopBudget(max_bound=bound))
+    assert capped.outcome is Outcome.EXHAUSTED
+    assert capped.halfspace is None
+
+
+def test_bound_cap_holds_every_certificate_of_rand240(tmp_path, monkeypatch):
+    # rand240's instances (see below) under boxes of 1, 2 and 3
+    monkeypatch.setenv("PATH", str(tmp_path))  # hides any native z3
+    table = Counter()
+    cfg = SolverConfig()
+    with SmtSession(cfg) as session:
+        for seed, places, mode, bound in itertools.product(range(40), (2, 3, 4), Mode, (1, 2, 3)):
+            inst = random_instance(seed, places=places, mode=mode)
+            budget = LoopBudget(max_iterations=30, max_bound=bound)
+            result = synthesize(inst, cfg, budget, session=session)
+            table[result.outcome.value, bound] += 1
+            if result.outcome is Outcome.FOUND:
+                assert max(map(abs, result.halfspace.k)) <= bound, (seed, places, mode, bound)
+    assert table == {
+        ("found", 1): 168, ("no-separator", 1): 58, ("exhausted", 1): 14,
+        ("found", 2): 170, ("no-separator", 2): 58, ("exhausted", 2): 12,
+        ("found", 3): 172, ("no-separator", 3): 58, ("exhausted", 3): 10,
+    }
+
+
 def test_builtin_backend_deadline_raises_timeout(tmp_path, monkeypatch):
     # an empty PATH hides any native z3; each query here takes far over 20 ms
     monkeypatch.setenv("PATH", str(tmp_path))

@@ -212,6 +212,19 @@ def test_constants_json_keeps_reversed_gap_runs_for_k_at_most_zero(tmp_path, cap
     assert doc["chosen"] == -20
 
 
+def test_a_command_out_of_memory_exits_4(example_file, monkeypatch, capsys):
+    # A far window can make the threshold bit set too large to allocate
+    # (see ROADMAP); a stand-in raises here instead of allocating it.
+    def out_of_memory(inst, k):
+        raise MemoryError
+
+    monkeypatch.setattr(petrisep.cli, "constants_for_instance", out_of_memory)
+    assert main(["constants", example_file, "--k", "3,2", "--json", "-"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "environment error: out of memory"
+
+
 def test_oracle_verdicts(example_file, capsys):
     assert main(["oracle", example_file, "--k", "3,2", "--c", "9"]) == 0
     assert main(["oracle", example_file, "--k", "3,2", "--c", "8"]) == 1

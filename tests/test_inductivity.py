@@ -186,7 +186,6 @@ def test_arity_mismatch_raises_instead_of_truncating(k):
         lambda: check_transition(k, 0, t),
         lambda: oracle_check_transition(k, 0, t),
         lambda: witness_bound(k, 0, t),
-        lambda: generate_constants(k, t),
         lambda: generate_constants(k, t, window=(-5, 5)),
         lambda: mixed_counterexample(k, 0, t),
     ]

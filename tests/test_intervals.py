@@ -29,10 +29,10 @@ def random_set(rng: random.Random) -> tuple[IntervalSet, set]:
 
 def test_constructors():
     assert IntervalSet().is_empty
-    assert not IntervalSet.all().is_empty
-    assert members(IntervalSet.all()) == set(PROBE)
-    assert members(IntervalSet(((5, None),))) == {v for v in PROBE if v >= 5}
-    assert members(IntervalSet(((None, -3),))) == {v for v in PROBE if v <= -3}
+    assert not IntervalSet.between(-40, 40).is_empty
+    assert members(IntervalSet.between(-40, 40)) == set(PROBE)
+    assert members(IntervalSet(((5, 99),))) == {v for v in PROBE if v >= 5}
+    assert members(IntervalSet(((-99, -3),))) == {v for v in PROBE if v <= -3}
     assert members(IntervalSet.between(2, 6)) == {2, 3, 4, 5, 6}
     assert IntervalSet.between(6, 2).is_empty
 
@@ -41,7 +41,7 @@ def test_canonical_representation_gives_structural_equality():
     # The same members reached two ways come out with the same spans.
     a = IntervalSet(((1, 2), (4, 9))).intersect(IntervalSet.between(2, 5))
     assert a == IntervalSet(((2, 2), (4, 5)))
-    assert IntervalSet.all().intersect(IntervalSet.between(1, 5)) == IntervalSet.between(1, 5)
+    assert IntervalSet.between(-99, 99).intersect(IntervalSet.between(1, 5)) == IntervalSet.between(1, 5)
 
 
 def test_algebra_matches_set_algebra():
@@ -58,48 +58,44 @@ def test_algebra_matches_set_algebra():
 def test_max_value():
     assert IntervalSet().max_value() is None
     assert IntervalSet(((1, 3), (7, 7))).max_value() == 7
-    assert IntervalSet(((0, None),)).max_value() is None
-
-
-def test_intersection_of_rays_is_bounded():
-    s = IntervalSet(((3, None),)).intersect(IntervalSet(((None, 8),)))
-    assert s == IntervalSet.between(3, 8)
+    assert IntervalSet(((0, 99),)).max_value() == 99
 
 
 def test_text_rendering():
     assert IntervalSet().to_text() == "{}"
     assert IntervalSet(((4, 4),)).to_text() == "{4}"
     assert IntervalSet.between(1, 3).to_text() == "[1,3]"
-    assert IntervalSet(((None, 2),)).to_text() == "(-inf,2]"
-    assert IntervalSet(((2, None),)).to_text() == "[2,+inf)"
+    assert IntervalSet(((-9, 2),)).to_text() == "[-9,2]"
+    assert IntervalSet(((2, 99),)).to_text() == "[2,99]"
     assert IntervalSet(((-30, -30), (-26, -25))).to_text() == "{-30} [-26,-25]"
 
 
 def test_json_round_trip():
-    # a set is the bare list of its spans; an unbounded end is null
+    # a set is the bare list of its spans
     assert_document(document(IntervalSet()), [])
-    assert_document(document(IntervalSet.all()), [[None, None]])
+    assert_document(document(IntervalSet.between(-5, 5)), [[-5, 5]])
     assert_document(
-        document(IntervalSet(((None, -3), (0, 0), (2, 5), (35, None)))),
-        [[None, -3], [0, 0], [2, 5], [35, None]],
+        document(IntervalSet(((-99, -3), (0, 0), (2, 5), (35, 99)))),
+        [[-99, -3], [0, 0], [2, 5], [35, 99]],
     )
 
 
 def random_canonical(rng: random.Random) -> IntervalSet:
-    """A small set over [-12, 12]: rays, singletons and touching spans."""
+    """A small set over [-12, 12]: spans past the probe's edges, singletons
+    and touching spans."""
     spans = []
     for _ in range(rng.randint(0, 5)):
         lo = rng.randint(-12, 12)
         shape = rng.random()
         if shape < 0.15:
-            spans.append((None, lo))
+            spans.append((-30, lo))
         elif shape < 0.3:
-            spans.append((lo, None))
+            spans.append((lo, 30))
         elif shape < 0.5:
             spans.append((lo, lo))
         else:
             spans.append((lo, lo + rng.randint(0, 6)))
-        if rng.random() < 0.3 and spans[-1][1] is not None:
+        if rng.random() < 0.3:
             end = spans[-1][1]  # an adjacent span, fused by the reference
             spans.append((end + 1, end + 1 + rng.randint(0, 3)))
     return canonical(spans)

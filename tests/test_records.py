@@ -178,6 +178,11 @@ DOCS = {
         "separator": SEPARATOR_DOC, "transitions": NET_CHECK_DOC,
         "oracle": [["t", True], ["u", True], ["v", True]], "ok": True,
     },
+    "ConstantsReport": {
+        "k": [3, 2], "window": [9, 11],
+        "per_transition": {"t": [[9, 9]], "u": [[9, 11]], "v": [[9, 11]]},
+        "combined": [[9, 9]], "chosen": 9, "cover_ok": True,
+    },
     "IntervalSet": [[9, 9]],
 }
 
