@@ -23,11 +23,14 @@ from .formula import (
     trivial_separator_formula,
 )
 from .inductivity import NetCheck, OracleBudgetError, check_net, oracle_check_transition
-from .jsondoc import JsonDoc, Record, key, record
+from .jsondoc import JsonDoc, Record, key
 from .net import HalfSpace, Instance, IntVector, SeparatorVerdict, verify_separator
 
 if TYPE_CHECKING:
     from .solver import SmtSession, SolverConfig
+
+__all__ = ["CertificateReport", "LoopBudget", "Outcome", "SynthesisResult", "SynthesisStats",
+           "certify", "synthesize"]
 
 
 class Outcome(Enum):
@@ -36,7 +39,6 @@ class Outcome(Enum):
     EXHAUSTED = "exhausted"
 
 
-@record
 class LoopBudget(Record):
     """Limits on one synthesis run: candidates, wall seconds, and an optional |k(i)| box."""
 
@@ -55,7 +57,6 @@ class LoopBudget(Record):
             raise ValueError("bound cap must be positive")
 
 
-@record
 class SynthesisStats(JsonDoc):
     """Work one synthesis run did: candidates, solver queries, wall time."""
 
@@ -66,7 +67,6 @@ class SynthesisStats(JsonDoc):
     examined: tuple[IntVector, ...]  # normalized candidates, in order
 
 
-@record
 class SynthesisResult(JsonDoc):
     """Outcome of synthesize; on FOUND, the certificate with its two checks."""
 
@@ -167,7 +167,6 @@ def _run(inst: Instance, budget: LoopBudget, session: SmtSession) -> SynthesisRe
     return finish(Outcome.EXHAUSTED)
 
 
-@record
 class CertificateReport(JsonDoc):
     """Independent re-check of a claimed certificate.
 

@@ -236,7 +236,7 @@ def cmd_explore(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.family == "nontrivial":
-        inst = nontrivial_net(args.n, args.j)
+        inst = nontrivial_net(args.n)
         sys.stdout.write(format_instance(inst))
         return EXIT_OK
     if args.family == "ussp":
@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = gen_sub.add_parser("nontrivial", help="family with no all-trivial separator")
     g.add_argument("--n", type=int, required=True, help="places (>= 3)")
-    g.add_argument("--j", type=int, default=None, help="distinguished transition (1-based)")
     g.set_defaults(func=cmd_gen)
 
     g = gen_sub.add_parser("ussp", help="net encoding solvability of w . x = d")

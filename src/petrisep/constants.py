@@ -15,8 +15,11 @@ import math
 from typing import Optional, Sequence
 
 from .intervals import IntervalSet, Span
-from .jsondoc import JsonDoc, record
+from .jsondoc import JsonDoc
 from .net import Instance, IntVector, Mode, Transition, dot
+
+__all__ = ["ConstantsReport", "constants_for_instance", "extended_euclid_vector",
+           "frobenius_limit", "generate_constants", "normalize_primitive", "separator_window"]
 
 
 def normalize_primitive(k: Sequence[int]) -> IntVector:
@@ -162,7 +165,6 @@ def separator_window(inst: Instance, k: Sequence[int]) -> tuple[int, int]:
     return dot(k, inst.m_final) + 1, dot(k, inst.m_init)
 
 
-@record
 class ConstantsReport(JsonDoc):
     """Inductive thresholds for one k: per transition, combined, and the pick."""
 

@@ -26,6 +26,8 @@ from typing import Optional, Sequence
 
 from .net import Instance, Mode, PetriNet, StructureError, Transition
 
+__all__ = ["NetFormatError", "format_instance", "load_instance", "parse_instance"]
+
 
 class NetFormatError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):

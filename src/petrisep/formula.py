@@ -25,13 +25,12 @@ from math import gcd
 from operator import mul, sub
 from typing import Sequence, Union
 
-from .jsondoc import TUPLE, Record, record
+from .jsondoc import TUPLE, Record
 from .net import Instance, IntVector, Mode
 
 Formula = Union["Atom", "Conj", "Disj"]
 
 
-@record
 class Atom(Record):
     """coeffs . k >= rhs with concrete integer coefficients."""
 
@@ -39,14 +38,12 @@ class Atom(Record):
     rhs: int
 
 
-@record
 class Conj(Record):
     """All parts hold; true when there are none."""
 
     parts: tuple[Formula, ...]
 
 
-@record
 class Disj(Record):
     """Some part holds; false when there are none."""
 

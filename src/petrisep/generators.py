@@ -9,42 +9,38 @@ from typing import Optional, Sequence
 from .constants import extended_euclid_vector
 from .net import HalfSpace, Instance, Mode, PetriNet, Transition, dot
 
+__all__ = ["nontrivial_certificate", "nontrivial_net", "random_instance", "ussp_halfspace"]
 
-def _family_index(n: int, j: Optional[int]) -> int:
-    """The distinguished transition of nontrivial_net(n, j), checked with n."""
+
+def _check_family(n: int) -> None:
     if n < 3:
         raise ValueError("family needs n >= 3")
-    j = n if j is None else j
-    if not 1 <= j <= n:
-        raise ValueError(f"j must be in [1, {n}]")
-    return j
 
 
-def nontrivial_net(n: int, j: Optional[int] = None) -> Instance:
+def nontrivial_net(n: int) -> Instance:
     """Family needing a non-trivial certificate: n places, n transitions.
 
     Every transition consumes one token from each place; transition i puts
-    n tokens on place i, except the distinguished transition j (1-based,
-    default n) which puts n + 1. From the all-ones marking the all-twos
-    marking is unreachable, but no half space trivial for every transition
-    shows it; dropping any single transition would make one exist.
+    n tokens on place i, except the distinguished transition n, which puts
+    n + 1. From the all-ones marking the all-twos marking is unreachable,
+    but no half space trivial for every transition shows it; dropping any
+    single transition would make one exist.
     """
-    j = _family_index(n, j)
+    _check_family(n)
     places = tuple(f"p{i}" for i in range(1, n + 1))
     ones = (1,) * n
     transitions = []
     for i in range(1, n + 1):
         post = [0] * n
-        post[i - 1] = n + 1 if i == j else n
+        post[i - 1] = n + 1 if i == n else n
         transitions.append(Transition(f"t{i}", ones, tuple(post)))
     return Instance(PetriNet(places, tuple(transitions)), ones, (2,) * n, Mode.REACH)
 
 
-def nontrivial_certificate(n: int, j: Optional[int] = None) -> HalfSpace:
-    """The known certificate for nontrivial_net(n, j)."""
-    j = _family_index(n, j)
-    k = tuple(-n if i == j else -(n + 1) for i in range(1, n + 1))
-    return HalfSpace(k, -n * (n + 1))
+def nontrivial_certificate(n: int) -> HalfSpace:
+    """The known certificate for nontrivial_net(n)."""
+    _check_family(n)
+    return HalfSpace((-(n + 1),) * (n - 1) + (-n,), -n * (n + 1))
 
 
 def ussp_halfspace(

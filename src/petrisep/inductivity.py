@@ -18,8 +18,12 @@ import itertools
 from dataclasses import field
 from typing import Optional, Sequence
 
-from .jsondoc import FLAT, INLINE, JsonDoc, Record, record
+from .jsondoc import FLAT, INLINE, JsonDoc, Record
 from .net import HalfSpace, IntVector, PetriNet, Transition, dot
+
+__all__ = ["NetCheck", "OracleBudgetError", "TransitionCheck", "TrivialFlags", "check_net",
+           "check_transition", "is_mixed", "mixed_counterexample", "oracle_check_transition",
+           "witness_bound"]
 
 
 def is_mixed(k: Sequence[int]) -> bool:
@@ -27,7 +31,6 @@ def is_mixed(k: Sequence[int]) -> bool:
     return bool(k) and min(k) < 0 < max(k)
 
 
-@record
 class TrivialFlags(Record):
     """Cheap sufficient conditions for inductivity of (k, c) against t.
 
@@ -124,7 +127,6 @@ def _mixed_witness(k: Sequence[int], c: int, t: Transition, kd: int) -> tuple[In
     return x, s
 
 
-@record
 class TransitionCheck(JsonDoc):
     """Inductivity verdict of (k, c) against one transition, with a witness if not."""
 
@@ -256,7 +258,6 @@ def _first_hit(step: int, m: int, lo: int, width: int) -> int:
     return j
 
 
-@record
 class NetCheck(JsonDoc):
     """Inductivity verdicts against every transition of a net, in its order."""
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import field
 from typing import Optional
 
-from .jsondoc import INLINE, JsonDoc, record
+from .jsondoc import INLINE, JsonDoc
+
+__all__ = ["IntervalSet"]
 
 Span = tuple[int, int]
 
 
-@record
 class IntervalSet(JsonDoc):
     """A set of integers as canonical spans (see the module docstring)."""
 

@@ -14,7 +14,11 @@ from enum import Enum
 from operator import add, ge, mul, sub
 from typing import Iterable, Optional, Sequence
 
-from .jsondoc import TUPLE, JsonDoc, Record, record
+from .jsondoc import TUPLE, JsonDoc, Record
+
+__all__ = ["ExplorationOutcome", "ExplorationReport", "HalfSpace", "Instance", "Mode", "PetriNet",
+           "SeparatorVerdict", "StructureError", "Transition", "bounded_explore", "dot",
+           "verify_separator"]
 
 IntVector = tuple[int, ...]
 
@@ -34,7 +38,6 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
-@record
 class Transition(Record):
     """A transition with consumption vector `pre` and production vector `post`.
 
@@ -72,7 +75,6 @@ class Transition(Record):
         return tuple(map(add, marking, self.delta))
 
 
-@record
 class PetriNet(Record):
     """Named places and transitions whose vectors have one entry per place."""
 
@@ -101,7 +103,6 @@ class Mode(Enum):
     COVER = "cover"
 
 
-@record
 class HalfSpace(JsonDoc):
     """The set of integer vectors m with k . m >= c."""
 
@@ -112,7 +113,6 @@ class HalfSpace(JsonDoc):
         return dot(self.k, m) >= self.c
 
 
-@record
 class Instance(Record):
     """A safety verification instance: prove m_final not reachable/coverable."""
 
@@ -130,7 +130,6 @@ class Instance(Record):
             raise StructureError("markings must be non-negative")
 
 
-@record
 class SeparatorVerdict(JsonDoc):
     """Outcome of the separation check (inductivity checked elsewhere)."""
 
@@ -178,7 +177,6 @@ class ExplorationOutcome(Enum):
     INCONCLUSIVE = "inconclusive"  # state budget hit first
 
 
-@record
 class ExplorationReport(Record):
     """Result of bounded_explore: outcome, markings stored, depth of the target."""
 

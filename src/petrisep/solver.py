@@ -28,8 +28,11 @@ from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 from .formula import Formula, evaluate, to_smt
-from .jsondoc import Record, record
+from .jsondoc import Record
 from .net import IntVector
+
+__all__ = ["SmtSession", "SolverConfig", "SolverError", "SolverNotFoundError", "SolverParseError",
+           "SolverProcessError", "SolverTimeoutError", "SolverUnknownError", "discover_solver"]
 
 
 class SolverError(Exception):
@@ -56,7 +59,6 @@ class SolverUnknownError(SolverError):
     """The solver answered 'unknown'; never to be conflated with unsat."""
 
 
-@record
 class SolverConfig(Record):
     """Which external solver to run, if any, and how long each query may take."""
 

@@ -4,7 +4,9 @@ that pins a report's JSON document."""
 
 import json
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -98,6 +100,15 @@ def fake_smt_command(log, *args) -> tuple[str, ...]:
     """Command line of tests/fake_smt.py, logging to the file log."""
     fake = Path(__file__).with_name("fake_smt.py")
     return (sys.executable, str(fake), "--log", str(log), *args)
+
+
+def ahead_clock(monkeypatch) -> None:
+    """Set the built-in backend's clock a second ahead of the session's, so
+    a query with a shorter timeout has run out of time at the search's first
+    clock reading, however fast the machine."""
+    from petrisep import exact
+
+    monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + 1.0))
 
 
 @pytest.fixture

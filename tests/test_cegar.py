@@ -36,6 +36,7 @@ from petrisep.net import ExplorationOutcome
 from petrisep.solver import SolverNotFoundError, SolverTimeoutError
 
 from conftest import (
+    ahead_clock,
     assert_document,
     backward_coverable,
     document,
@@ -309,8 +310,10 @@ def test_bound_cap_holds_every_certificate_of_rand240(tmp_path, monkeypatch):
 
 
 def test_builtin_backend_deadline_raises_timeout(tmp_path, monkeypatch):
-    # an empty PATH hides any native z3; each query here takes far over 20 ms
+    # an empty PATH hides any native z3; the search's clock reads a second
+    # ahead of the session's, so every query's 20 ms deadline has passed
     monkeypatch.setenv("PATH", str(tmp_path))
+    ahead_clock(monkeypatch)
     with pytest.raises(SolverTimeoutError, match="built-in backend ran out of time"):
         synthesize(nontrivial_net(6), SolverConfig(timeout_ms=20))
 

@@ -24,7 +24,7 @@ from petrisep import (
 )
 from petrisep.cli import build_parser, main
 
-from conftest import fake_smt_command, two_place_instance
+from conftest import ahead_clock, fake_smt_command, two_place_instance
 
 EXAMPLE = format_instance(two_place_instance())
 
@@ -435,6 +435,7 @@ def test_synthesize_solver_that_dies_exits_4(example_file, tmp_path, capsys):
 
 def test_synthesize_builtin_timeout_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PATH", str(tmp_path))  # no native z3: the built-in backend
+    ahead_clock(monkeypatch)  # every query's 20 ms deadline has passed
     path = tmp_path / "family.net"
     path.write_text(format_instance(nontrivial_net(6)))
     assert main(["synthesize", str(path), "--timeout-ms", "20"]) == 4

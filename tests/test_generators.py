@@ -31,16 +31,11 @@ def test_nontrivial_net_shape():
         assert sum(t.post) == (5 if i == 4 else 4)
 
 
-def test_nontrivial_net_distinguished_transition_is_movable():
-    inst = nontrivial_net(5, j=2)
-    boosted = inst.net.transitions[1]
-    assert boosted.post[1] == 6
-    # the known certificate checks its parameters as the net does
+def test_nontrivial_family_needs_three_places():
+    # the known certificate checks its parameter as the net does
     for build in (nontrivial_net, nontrivial_certificate):
         with pytest.raises(ValueError, match="family needs n >= 3"):
             build(2)
-        with pytest.raises(ValueError, match=r"j must be in \[1, 4\]"):
-            build(4, j=5)
 
 
 @pytest.mark.parametrize("n", range(3, 8))

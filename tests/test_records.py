@@ -41,7 +41,7 @@ from petrisep import (
     verify_separator,
 )
 from petrisep.formula import Atom, Conj, Disj
-from petrisep.jsondoc import JsonDoc, Record, record
+from petrisep.jsondoc import TUPLE, JsonDoc, Record
 
 from conftest import assert_document, document
 
@@ -197,7 +197,7 @@ def test_record_repr(name):
 
 
 def test_record_repr_reads_no_fields_per_call(monkeypatch):
-    # @record reads the repr field names once, when the class is built
+    # Record reads the repr field names once, when the subclass is built
     built = records()
 
     def fields_(*args):
@@ -270,23 +270,50 @@ def test_constructor_leaves_delta_to_post_init():
     assert replace(t, post=(0, 0)).delta == (-2, -1)
 
 
+class Pair(Record):
+    """A test-local record: a TUPLE field, a default and a __post_init__."""
+
+    items: tuple = field(metadata=TUPLE)
+    label: str = "pair"
+
+    def __post_init__(self):
+        if len(self.items) != 2:
+            raise ValueError("a pair has two items")
+
+
+def test_subclassing_record_is_the_whole_declaration():
+    assert is_dataclass(Pair)
+    assert not is_dataclass(Record) and not is_dataclass(JsonDoc)
+    assert Pair.__init__.__qualname__ == f"{Pair.__qualname__}.__init__"
+    assert str(inspect.signature(Pair)) == "(items: tuple, label: str = 'pair') -> None"
+    p = Pair([1, 2])  # TUPLE converts a list, once
+    assert type(p.items) is tuple and p == Pair((1, 2), "pair") and p != Pair((1, 2), "other")
+    assert hash(p) == hash(((1, 2), "pair"))
+    assert repr(p) == "Pair(items=(1, 2), label='pair')"
+    with pytest.raises(TypeError, match="items must be a sequence of items, not the string '12'"):
+        Pair("12")
+    with pytest.raises(ValueError, match="a pair has two items"):
+        Pair((1, 2, 3))
+    with pytest.raises(FrozenInstanceError):
+        p.label = "other"
+    for name in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        assert getattr(Pair, name) is getattr(Record, name), name
+
+
 def test_record_refuses_fields_its_init_cannot_build():
     with pytest.raises(TypeError, match="default_factory"):
-        @record
         class Factory(Record):
             """A list field built per instance."""
 
             xs: list = field(default_factory=list)
 
     with pytest.raises(TypeError, match="kw_only"):
-        @record
         class KeywordOnly(Record):
             """A keyword-only field."""
 
             x: int = field(kw_only=True)
 
     with pytest.raises(TypeError, match="InitVar"):
-        @record
         class Passed(Record):
             """A value passed to __post_init__ only."""
 
@@ -338,7 +365,7 @@ def test_every_frozen_dataclass_shares_the_record_methods():
                 assert not cls.__dataclass_params__.frozen, cls
                 if issubclass(cls, Record):
                     shared.append(cls.__name__)
-                    # dataclasses derives a missing docstring before @record
+                    # dataclasses derives a missing docstring before Record
                     # compiles the __init__, so it would read "Name()"
                     assert not cls.__doc__.startswith(f"{cls.__name__}("), cls
                     for name in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
