@@ -23,7 +23,6 @@ from .fileformat import NetFormatError, format_instance, int_problem, load_insta
 from .generators import nontrivial_net, random_instance, ussp_halfspace
 from .inductivity import (
     OracleBudgetError,
-    check_net,
     is_mixed,
     oracle_check_transition,
 )

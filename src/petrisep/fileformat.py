@@ -59,9 +59,13 @@ def _parse_ints(tokens: list[str], lineno: int, what: str) -> tuple[int, ...]:
         raise NetFormatError(f"{what}: {int_problem(tokens)}", lineno)
 
 
+_MODES = {"reach": Mode.REACH, "cover": Mode.COVER}
+
+
 def parse_instance(text: str) -> Instance:
     places: Optional[tuple[str, ...]] = None
     n = 0
+    width = -1  # tokens of a transition line; no line has -1, so none passes before `places`
     transitions: list[Transition] = []
     tnames: set[str] = set()
     m_init = None
@@ -72,18 +76,18 @@ def parse_instance(text: str) -> Instance:
     # read them; str.splitlines would also split on form feeds and Unicode
     # line breaks, and then name the wrong line in an error.
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        # split() drops the whitespace strip() would, so a comment is a
-        # line whose first token starts with '#'.
+    lineno = 0
+    for raw in lines:
+        lineno += 1
         tokens = raw.split()
-        if not tokens or tokens[0][0] == "#":
+        if not tokens:
             continue
         head = tokens[0]
 
         if head == "transition":
-            if places is None:
-                raise NetFormatError("transition before places directive", lineno)
-            if len(tokens) != 4 + 2 * n or tokens[2] != "pre" or tokens[3 + n] != "post":
+            if len(tokens) != width or tokens[2] != "pre" or tokens[3 + n] != "post":
+                if places is None:
+                    raise NetFormatError("transition before places directive", lineno)
                 raise NetFormatError(
                     f"expected: transition <name> pre <{n} ints> post <{n} ints>",
                     lineno,
@@ -91,14 +95,15 @@ def parse_instance(text: str) -> Instance:
             name = tokens[1]
             if name in tnames:
                 raise NetFormatError(f"duplicate transition name {name!r}", lineno)
+            del tokens[3 + n]  # the `post` keyword: pre and post values now adjoin
             try:
-                pre = tuple(map(int, tokens[3 : 3 + n]))
-                post = tuple(map(int, tokens[4 + n :]))
+                flows = tuple(map(int, tokens[3:]))
             except ValueError:  # again, token by token, to name the bad one
-                pre = _parse_ints(tokens[3 : 3 + n], lineno, "pre")
-                post = _parse_ints(tokens[4 + n :], lineno, "post")
+                flows = _parse_ints(tokens[3 : 3 + n], lineno, "pre") + _parse_ints(
+                    tokens[3 + n :], lineno, "post"
+                )
             try:
-                transitions.append(Transition(name, pre, post))
+                transitions.append(Transition(name, flows[:n], flows[n:]))
             except StructureError as exc:
                 raise NetFormatError(str(exc), lineno)
             tnames.add(name)
@@ -113,6 +118,7 @@ def parse_instance(text: str) -> Instance:
                 raise NetFormatError("duplicate place name", lineno)
             places = tuple(names)
             n = len(places)
+            width = 4 + 2 * n
 
         elif head in ("init", "target"):
             if places is None:
@@ -137,11 +143,13 @@ def parse_instance(text: str) -> Instance:
         elif head == "mode":
             if mode is not None:
                 raise NetFormatError("duplicate mode directive", lineno)
-            if len(tokens) != 2 or tokens[1] not in ("reach", "cover"):
+            if len(tokens) != 2 or tokens[1] not in _MODES:
                 raise NetFormatError("mode must be 'reach' or 'cover'", lineno)
-            mode = Mode.COVER if tokens[1] == "cover" else Mode.REACH
+            mode = _MODES[tokens[1]]
 
-        else:
+        # split() drops the whitespace strip() would, so a comment is a
+        # line whose first token starts with '#'; no directive does.
+        elif head[0] != "#":
             raise NetFormatError(f"unknown directive {head!r}", lineno)
 
     if places is None:

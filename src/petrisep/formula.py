@@ -55,14 +55,22 @@ def evaluate(f: Formula, k: Sequence[int], den: int = 1) -> bool:
     kind = type(f)
     if kind is Atom:
         return sum(map(mul, f.coeffs, k)) >= f.rhs * den
+    # An atom part is tested in place; only a nested connective, or a part
+    # that is no formula at all, takes the recursive call.
     if kind is Conj:
         for p in f.parts:
-            if not evaluate(p, k, den):
+            if type(p) is Atom:
+                if sum(map(mul, p.coeffs, k)) < p.rhs * den:
+                    return False
+            elif not evaluate(p, k, den):
                 return False
         return True
     if kind is Disj:
         for p in f.parts:
-            if evaluate(p, k, den):
+            if type(p) is Atom:
+                if sum(map(mul, p.coeffs, k)) >= p.rhs * den:
+                    return True
+            elif evaluate(p, k, den):
                 return True
         return False
     raise TypeError(f"not a formula: {f!r}")

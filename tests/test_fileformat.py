@@ -110,6 +110,11 @@ def test_comments_and_blank_lines_are_ignored():
     inst = parse_instance(text)
     assert inst.mode is Mode.REACH  # mode line is optional
     assert inst.net.places == ("p",)
+    # A comment may look like a directive or start after whitespace, and a
+    # line may end at CR alone.
+    assert parse_instance(text.replace("# header", "#transition t pre")) == inst
+    assert parse_instance(text.replace("# header", "\t#x")) == inst
+    assert parse_instance(text.replace("\n", "\r")) == inst
 
 
 @pytest.mark.parametrize(
@@ -173,6 +178,19 @@ SHAPE = "expected: transition <name> pre <2 ints> post <2 ints>"
             3,
         ),
         (P + "transition t pre 0 x post 1 y\n", "line 2: pre: 'x' is not an integer", 2),
+        # A line with two faults names the one checked first: the places
+        # directive, then the shape, the name, the integers and the flows;
+        # for init: duplication, then the integers, their count and their signs.
+        ("transition t pre 0 post 1 2\nplaces p\n", "line 1: transition before places directive", 1),
+        (
+            P + "transition t pre 0 1 post 1 0\ntransition t pre x 1 post 1 0\n",
+            "line 3: duplicate transition name 't'",
+            3,
+        ),
+        (P + "transition t pre -1 x post 1 0\n", "line 2: pre: 'x' is not an integer", 2),
+        (P + "transition t pre 0 1 post -1 x\n", "line 2: post: 'x' is not an integer", 2),
+        (P + "init -1\n", "line 2: init has 1 entries, expected 2", 2),
+        (P + "init 0 0\ninit x\n", "line 3: duplicate init directive", 3),
         (P + "transition t pre 0 1 post 1 1.5\n", "line 2: post: '1.5' is not an integer", 2),
         (P + "transition t pre 0 -1 post 1 0\n", "line 2: transition 't': negative flow entry", 2),
         (P + "transition t pre 0 1 post -1 0\n", "line 2: transition 't': negative flow entry", 2),

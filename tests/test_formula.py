@@ -49,6 +49,17 @@ def test_connectives():
     assert evaluate(f, (7,))
     assert evaluate(f, (-3,))
     assert not evaluate(f, (-4,))
+    # atoms inside a connective compare at the rational point k / den too
+    half = Atom((2, -1), 3)  # true at (3, 1), false at (3, 1) / 2
+    assert evaluate(Conj((half,)), (3, 1)) and not evaluate(Conj((half,)), (3, 1), 2)
+    assert evaluate(Disj((half,)), (3, 1)) and not evaluate(Disj((half,)), (3, 1), 2)
+
+
+def test_a_part_that_is_no_formula_is_refused():
+    true, false = Atom((1,), 0), Atom((1,), 1)
+    for f in ("k >= 0", Conj((true, "k >= 0")), Disj((false, "k >= 0"))):
+        with pytest.raises(TypeError, match="not a formula: 'k >= 0'"):
+            evaluate(f, (0,))
 
 
 def test_smt_rendering():
